@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
   row("producer (drops are counted, the loop never blocks) and p99 grows with");
   row("the standing backlog. sent - recv stays ~0 after each point's flush.");
 
-  const rt::RuntimeStats& stats = runtime.stats();
+  const rt::RuntimeStats stats = runtime.stats();
   row("");
   row("runtime totals: rx=%llu tx=%llu dispatches=%llu rx_dropped=%llu tx_dropped=%llu",
       static_cast<unsigned long long>(stats.rx_frames),

@@ -11,6 +11,7 @@
 #include "lint/flowgraph.hpp"
 #include "lint/symbolic.hpp"
 #include "lint/timing.hpp"
+#include "rt/framing.hpp"
 
 namespace decos::lint {
 namespace {
@@ -834,18 +835,12 @@ ElementMeta GatewayModel::element_meta(const std::string& repo,
 // DL011 -- event-port queue sizing vs live-runtime ring capacity
 // ---------------------------------------------------------------------------
 
-/// Mirrors rt/ring.hpp framing (4-byte length prefix padded to the
-/// 8-byte frame alignment) as plain arithmetic: lint/ cannot include
-/// rt/ because core depends on lint and rt depends on core.
-std::size_t framed_bytes(std::size_t payload) {
-  return (4 + payload + 7) & ~std::size_t{7};
-}
-
 void check_ring_capacity(const GatewayModel& model, Report& report) {
   if (model.transport_ring_bytes == 0) return;
-  // rt::SpscRing rejects frames larger than a quarter of the ring so the
-  // wrap marker always fits; mirror that bound here.
-  const std::size_t max_frame = model.transport_ring_bytes / 4;
+  // The ring the runtime builds: capacity rounded up to a valid size,
+  // payloads above a quarter of it rejected at the producer.
+  const std::size_t capacity = rt::framing::round_capacity(model.transport_ring_bytes);
+  const std::size_t max_payload = rt::framing::max_payload(capacity);
   for (int side = 0; side < 2; ++side) {
     const spec::LinkSpec* link = model.links[side];
     if (link == nullptr) continue;
@@ -853,17 +848,18 @@ void check_ring_capacity(const GatewayModel& model, Report& report) {
       if (port.direction != spec::DataDirection::kInput) continue;
       const spec::MessageSpec* ms = link->message(port.message);
       if (ms == nullptr) continue;
-      const std::size_t frame = framed_bytes(ms->wire_size());
+      const std::size_t payload = ms->wire_size();
+      const std::size_t frame = rt::framing::framed_size(payload);
       const std::string loc =
           side_loc(model, side) + ": port for message '" + port.message + "'";
-      if (frame > max_frame) {
+      if (payload > max_payload) {
         report.add(kRuleRingCapacity, Severity::kNote, loc,
-                   "a frame of '" + port.message + "' occupies " + std::to_string(frame) +
-                       " ring bytes but the runtime ingress ring accepts at most " +
-                       std::to_string(max_frame) + " per frame (capacity " +
-                       std::to_string(model.transport_ring_bytes) +
+                   "a frame of '" + port.message + "' carries " + std::to_string(payload) +
+                       " payload bytes but the runtime ingress ring accepts at most " +
+                       std::to_string(max_payload) + " per frame (capacity " +
+                       std::to_string(capacity) +
                        " / 4); the live runtime can never carry this message",
-                   "raise the ring capacity to at least " + std::to_string(frame * 4) +
+                   "raise the ring capacity to at least " + std::to_string(payload * 4) +
                        " bytes");
         continue;
       }
@@ -871,13 +867,13 @@ void check_ring_capacity(const GatewayModel& model, Report& report) {
         const std::string repo = model.repo_name(side, element->name);
         const ElementMeta meta = model.element_meta(repo, port.semantics);
         if (meta.semantics != spec::InfoSemantics::kEvent) continue;
-        const std::size_t frames_in_ring = model.transport_ring_bytes / frame;
+        const std::size_t frames_in_ring = capacity / frame;
         if (frames_in_ring < meta.queue_capacity) {
           report.add(kRuleRingCapacity, Severity::kNote,
                      loc + ", element '" + repo + "'",
                      "event queue provisions " + std::to_string(meta.queue_capacity) +
                          " instances (DL006/DL010 demand) but the runtime ingress ring (" +
-                         std::to_string(model.transport_ring_bytes) +
+                         std::to_string(capacity) +
                          " bytes) buffers at most " + std::to_string(frames_in_ring) +
                          " frames of '" + port.message + "' (" + std::to_string(frame) +
                          " bytes framed); a burst drops at the transport before admission "

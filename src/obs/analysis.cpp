@@ -5,6 +5,13 @@
 
 namespace decos::obs {
 
+namespace {
+
+/// Sample slots of TraceLandmarks::Samples, in kBreakdownPhases order.
+enum Slot : std::size_t { kIngress, kDissectSlot, kRepoWaitSlot, kConstructSlot, kDelivery, kTotal };
+
+}  // namespace
+
 void LatencySet::ensure_sorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());
@@ -31,16 +38,97 @@ double LatencySet::mean() const {
   return sum / static_cast<double>(samples_.size());
 }
 
+std::uint64_t nearest_rank(double p, std::uint64_t n) {
+  if (p <= 0.0) return 1;
+  if (p >= 1.0) return n;
+  const auto rank = static_cast<std::uint64_t>(p * static_cast<double>(n) + 0.999999);
+  return std::clamp<std::uint64_t>(rank, 1, n);
+}
+
 std::int64_t LatencySet::percentile(double p) const {
   if (samples_.empty()) return 0;
   ensure_sorted();
-  if (p <= 0.0) return samples_.front();
-  if (p >= 1.0) return samples_.back();
-  // Nearest-rank (ceil) on the sorted samples.
-  const auto rank =
-      static_cast<std::size_t>(p * static_cast<double>(samples_.size()) + 0.999999);
-  const std::size_t index = rank == 0 ? 0 : rank - 1;
-  return samples_[std::min(index, samples_.size() - 1)];
+  return samples_[nearest_rank(p, samples_.size()) - 1];
+}
+
+std::string flow_key(Symbol root, Symbol terminal) {
+  std::string key = symbol_name(root);
+  if (terminal != root) {
+    key += "->";
+    key += symbol_name(terminal);
+  }
+  return key;
+}
+
+bool TraceLandmarks::fold(const Span& s) {
+  if (!started_) {
+    started_ = true;
+    root_name_ = s.name;
+    root_start_ = s.start;
+  }
+  marks_.last_end = s.end;
+  marks_.last_name = s.name;
+  switch (s.phase) {
+    case Phase::kSend:
+      break;
+    case Phase::kBus:
+      if (!marks_.has_bus) {
+        marks_.has_bus = true;
+        marks_.bus_end = s.end;
+      }
+      break;
+    case Phase::kDissect:
+      if (!marks_.has_dissect) {
+        marks_.has_dissect = true;
+        marks_.dissect_end = s.end;
+      }
+      break;
+    case Phase::kRepoWait:
+      if (!has_construct_ && (!marks_.has_repo || s.duration() > marks_.repo_longest)) {
+        marks_.has_repo = true;
+        marks_.repo_longest = s.duration();
+        marks_.repo_end = s.end;
+      }
+      break;
+    case Phase::kConstruct:
+      if (!has_construct_) {
+        has_construct_ = true;
+        construct_end_ = s.end;
+      }
+      break;
+    case Phase::kDeliver:
+      if (has_construct_) {
+        marks_.delivered = true;
+        return true;
+      }
+      if (!has_pending_) {
+        has_pending_ = true;
+        pending_ = marks_;
+        pending_.delivered = true;
+      }
+      break;
+  }
+  return false;
+}
+
+TraceLandmarks::Samples TraceLandmarks::samples() const {
+  const Marks& m = has_construct_ || !has_pending_ ? marks_ : pending_;
+  Samples out;
+  out.root = root_name_;
+  out.terminal = m.last_name;
+  out.end = m.last_end;
+  out.ns[kTotal] = (m.last_end - root_start_).ns();
+  if (m.has_bus) out.ns[kIngress] = (m.bus_end - root_start_).ns();
+  if (m.has_dissect && m.has_bus) out.ns[kDissectSlot] = (m.dissect_end - m.bus_end).ns();
+  if (m.has_repo) out.ns[kRepoWaitSlot] = m.repo_longest.ns();
+  if (has_construct_ && m.has_repo) out.ns[kConstructSlot] = (construct_end_ - m.repo_end).ns();
+  if (m.delivered) {
+    if (has_construct_)
+      out.ns[kDelivery] = (m.last_end - construct_end_).ns();
+    else if (m.has_bus)
+      out.ns[kDelivery] = (m.last_end - m.bus_end).ns();
+  }
+  return out;
 }
 
 Breakdown phase_breakdown(const std::vector<Span>& spans) {
@@ -59,76 +147,15 @@ Breakdown phase_breakdown(const std::vector<Span>& spans) {
     std::vector<const Span*>& chain = traces[trace_id];
     std::sort(chain.begin(), chain.end(),
               [](const Span* a, const Span* b) { return a->span_id < b->span_id; });
-
-    const Span* root = chain.front();
-
-    // First-delivery pipeline landmarks, in causal (span id) order. A TT
-    // state port re-sends its freshest instance every round, so one trace
-    // accumulates bus/dissect/construct/deliver spans per round; the
-    // phase breakdown measures the *first* completion of each stage --
-    // the latency until the information reached the other side -- which
-    // matches what the latency benches measure in-process.
-    const Span* construct = nullptr;  // first construction in the trace
-    for (const Span* s : chain) {
-      if (s->phase == Phase::kConstruct) {
-        construct = s;
-        break;
-      }
-    }
-
-    const Span* first_bus = nullptr;
-    const Span* dissect = nullptr;
-    const Span* repo_longest = nullptr;  // longest element wait before construction
-    const Span* deliver = nullptr;       // first delivery after construction
-    for (const Span* s : chain) {
-      switch (s->phase) {
-        case Phase::kBus:
-          if (first_bus == nullptr) first_bus = s;
-          break;
-        case Phase::kDissect:
-          if (dissect == nullptr) dissect = s;
-          break;
-        case Phase::kRepoWait:
-          if ((construct == nullptr || s->span_id < construct->span_id) &&
-              (repo_longest == nullptr || s->duration() > repo_longest->duration()))
-            repo_longest = s;
-          break;
-        case Phase::kConstruct:
-          break;
-        case Phase::kDeliver:
-          // Deliveries into the gateway's own input port precede the
-          // construction span; the end-to-end delivery follows it. In a
-          // gateway-less trace the first delivery is the end-to-end one.
-          if (deliver == nullptr &&
-              (construct == nullptr || s->span_id > construct->span_id))
-            deliver = s;
-          break;
-        case Phase::kSend:
-          break;
-      }
-      if (deliver != nullptr) break;  // pipeline complete
-    }
-
-    const Span* last = deliver != nullptr ? deliver : chain.back();
-    std::string key = symbol_name(root->name);
-    if (last->name != root->name) key += "->" + symbol_name(last->name);
-
-    FlowStats& flow = breakdown[key];
+    TraceLandmarks landmarks;
+    for (const Span* s : chain)
+      if (landmarks.fold(*s)) break;
+    const TraceLandmarks::Samples samples = landmarks.samples();
+    FlowStats& flow = breakdown[flow_key(samples.root, samples.terminal)];
     ++flow.traces;
-    flow.phases["total"].add(last->end - root->start);
-    if (first_bus != nullptr) flow.phases["ingress"].add(first_bus->end - root->start);
-    if (dissect != nullptr && first_bus != nullptr)
-      flow.phases["dissect"].add(dissect->end - first_bus->end);
-    if (repo_longest != nullptr) flow.phases["repo_wait"].add(repo_longest->duration());
-    if (construct != nullptr && repo_longest != nullptr)
-      flow.phases["construct"].add(construct->end - repo_longest->end);
-    if (deliver != nullptr) {
-      if (construct != nullptr) {
-        flow.phases["delivery"].add(deliver->end - construct->end);
-      } else if (first_bus != nullptr) {
-        flow.phases["delivery"].add(deliver->end - first_bus->end);
-      }
-    }
+    for (std::size_t i = 0; i < kBreakdownPhaseCount; ++i)
+      if (samples.ns[i])
+        flow.phases[kBreakdownPhases[i]].add(Duration::nanoseconds(*samples.ns[i]));
   }
   return breakdown;
 }

@@ -4,17 +4,27 @@
 // nanosecond -- the E6 acceptance check relies on this.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "util/symbol.hpp"
 #include "util/time.hpp"
 
 namespace decos::obs {
+
+/// 1-based nearest-rank (ceil) position of percentile `p` (in [0,1])
+/// among `n` > 0 sorted samples, clamped to [1, n]. The one percentile
+/// rule behind LatencySet and the telemetry reader, so live and post-hoc
+/// percentiles agree to the nanosecond.
+std::uint64_t nearest_rank(double p, std::uint64_t n);
 
 /// Exact latency sample set (nearest-rank percentiles over the sorted
 /// samples -- no binning, unlike the metrics histograms).
@@ -42,10 +52,73 @@ class LatencySet {
 /// is first span start -> last span end.
 inline constexpr const char* kBreakdownPhases[] = {"ingress",   "dissect",  "repo_wait",
                                                    "construct", "delivery", "total"};
+inline constexpr std::size_t kBreakdownPhaseCount = std::size(kBreakdownPhases);
 
-/// Per-flow phase latency sets. A flow is keyed by its message names:
-/// "msgA" for same-name end-to-end traffic, "msgA->msgB" when a gateway
-/// renamed/reconstructed the message.
+/// Flow key of a trace: "msgA" for same-name end-to-end traffic,
+/// "msgA->msgB" when a gateway renamed/reconstructed the message.
+std::string flow_key(Symbol root, Symbol terminal);
+
+/// Phase landmarks of one trace, folded span by span in causal (span
+/// id) order: the first bus, the first dissect, the longest repo_wait
+/// before the first construct, the first construct, and the first
+/// deliver after it. The post-hoc phase_breakdown and the live
+/// WindowAggregator both fold this one type, so their numbers agree by
+/// construction.
+///
+/// A TT state port re-sends its freshest instance every round, so one
+/// trace accumulates bus/dissect/construct/deliver spans per round; the
+/// breakdown measures the *first* completion of each stage. A deliver
+/// before any construct is a delivery into a gateway's own input port,
+/// or the end-to-end delivery of a gateway-less trace: the first one is
+/// saved together with the landmarks as they stood, and it ends the
+/// trace only if no construct ever follows.
+class TraceLandmarks {
+ public:
+  /// Fold the next span; the first span folded is the root. Returns true
+  /// once the trace is complete (the first deliver after a construct);
+  /// later spans of the trace carry no landmark.
+  bool fold(const Span& s);
+
+  /// Per-phase samples in kBreakdownPhases order, ending at the
+  /// terminal span: the completing deliver, else the saved
+  /// pre-construct deliver when no construct arrived, else the last
+  /// span folded. Phases whose landmarks are absent have no value.
+  struct Samples {
+    Symbol root{};
+    Symbol terminal{};
+    Instant end{};  // terminal span end
+    std::array<std::optional<std::int64_t>, kBreakdownPhaseCount> ns{};
+
+    std::int64_t total_ns() const { return *ns[kBreakdownPhaseCount - 1]; }
+  };
+  Samples samples() const;
+
+ private:
+  /// Landmarks that a pre-construct deliver freezes.
+  struct Marks {
+    Instant last_end{};
+    Symbol last_name{};
+    Instant bus_end{};
+    Instant dissect_end{};
+    Instant repo_end{};
+    Duration repo_longest{};
+    bool has_bus = false;
+    bool has_dissect = false;
+    bool has_repo = false;
+    bool delivered = false;  // the last span folded is a deliver
+  };
+
+  Symbol root_name_{};
+  Instant root_start_{};
+  Instant construct_end_{};
+  bool started_ = false;
+  bool has_construct_ = false;
+  bool has_pending_ = false;
+  Marks marks_;
+  Marks pending_;  // marks_ at the first deliver before any construct
+};
+
+/// Per-flow phase latency sets, keyed by flow_key().
 struct FlowStats {
   std::map<std::string, LatencySet> phases;  // key: kBreakdownPhases entry
   std::size_t traces = 0;
@@ -53,7 +126,8 @@ struct FlowStats {
 
 using Breakdown = std::map<std::string, FlowStats>;
 
-/// Group spans into traces and compute per-phase latencies:
+/// Group spans into traces, fold each (in span id order) into
+/// TraceLandmarks and collect its samples:
 ///   ingress   = first bus delivery - root send
 ///   dissect   = dissection instant - preceding bus delivery
 ///   repo_wait = repository store -> fetch (max over elements)

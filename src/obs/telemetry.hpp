@@ -3,12 +3,13 @@
 //
 // A WindowAggregator attaches to a TraceCollector as its SpanSink and
 // folds every emitted span into tumbling sim-time windows *as the run
-// executes*: per-flow phase latencies (same landmarks and arithmetic as
-// analysis.cpp's phase_breakdown, so live and post-hoc numbers agree to
-// the nanosecond), deadline-miss counters against each consumer's d_acc
-// and against declint's exported static bounds, plus per-window metric
-// deltas (counter deltas, gauge window high waters, histogram bin
-// deltas) read allocation-free through MetricsRegistry::for_each.
+// executes*: per-flow phase latencies (each open trace folds the same
+// TraceLandmarks as analysis.cpp's phase_breakdown, so live and
+// post-hoc numbers agree to the nanosecond), deadline-miss counters
+// against each consumer's d_acc and against declint's exported static
+// bounds, plus per-window metric deltas (counter deltas, gauge window
+// high waters, histogram bin deltas) read allocation-free through
+// MetricsRegistry::for_each.
 //
 // Windows are emitted as a JSONL delta stream. Every line derived from
 // simulated time is byte-deterministic: identical seeded runs produce
@@ -34,6 +35,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/analysis.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/result.hpp"
@@ -82,9 +84,6 @@ struct TelemetryConfig {
 /// Streaming per-flow, per-window aggregator. See file comment.
 class WindowAggregator : public SpanSink {
  public:
-  /// Number of per-flow phase slots, in kBreakdownPhases order
-  /// (ingress, dissect, repo_wait, construct, delivery, total).
-  static constexpr std::size_t kPhaseSlots = 6;
   /// Distinct latency values tracked exactly per (flow, phase, window);
   /// further distinct values only widen min/max/sum and count `trunc`.
   static constexpr std::size_t kWindowValueCap = 32;
@@ -169,40 +168,14 @@ class WindowAggregator : public SpanSink {
     std::uint64_t win_traces = 0;
     std::uint64_t win_deadline_miss = 0;
     std::uint64_t win_bound_miss = 0;
-    std::array<PhaseWindow, kPhaseSlots> phase{};
+    std::array<PhaseWindow, kBreakdownPhaseCount> phase{};  // kBreakdownPhases order
   };
 
   /// One in-flight trace in the direct-mapped table (trace_id == 0 =
-  /// free slot). Landmarks mirror phase_breakdown exactly.
+  /// free slot).
   struct OpenTrace {
     std::uint64_t trace_id = 0;
-    Symbol root_name{};
-    Instant root_start{};
-    Instant last_end{};
-    Symbol last_name{};
-    Instant first_bus_end{};
-    Instant dissect_end{};
-    Duration repo_longest{};
-    Instant repo_longest_end{};
-    Instant construct_end{};
-    Instant pending_deliver_end{};
-    Symbol pending_deliver_name{};
-    // Landmark state at the moment the pending deliver was recorded.
-    // The post-hoc scan stops at the first qualifying deliver, so
-    // landmarks folded after it only count if a construct arrives
-    // later; otherwise finalize() rolls back to this snapshot.
-    Instant snap_first_bus_end{};
-    Instant snap_dissect_end{};
-    Duration snap_repo_longest{};
-    Instant snap_repo_longest_end{};
-    bool snap_has_bus = false;
-    bool snap_has_dissect = false;
-    bool snap_has_repo = false;
-    bool has_bus = false;
-    bool has_dissect = false;
-    bool has_repo = false;
-    bool has_construct = false;
-    bool has_pending_deliver = false;
+    TraceLandmarks landmarks;
   };
 
   /// SLO registration waiting for its flow to appear.
@@ -228,7 +201,7 @@ class WindowAggregator : public SpanSink {
   FlowState& flow_for(Symbol root, Symbol last);
   SloEntry& upsert_slo(std::string_view key);
   void apply_slo(FlowState& flow);
-  void finalize(OpenTrace& t, Instant terminal_end, Symbol terminal_name, bool delivered);
+  void finalize(OpenTrace& t);
   void fold_metrics();
   void append_flow(const FlowState& flow);
 
@@ -346,9 +319,9 @@ struct FlowHealth {
     double mean() const {
       return n == 0 ? 0.0 : static_cast<double>(sum_ns) / static_cast<double>(n);
     }
-    /// Nearest-rank percentile over the merged samples -- the same
-    /// formula as analysis.cpp's LatencySet, so exact() aggregates
-    /// match decotrace's post-hoc numbers to the nanosecond.
+    /// Nearest-rank percentile over the merged samples (nearest_rank(),
+    /// as LatencySet), so exact() aggregates match decotrace's post-hoc
+    /// numbers to the nanosecond.
     std::int64_t percentile(double p) const;
   };
   std::map<std::string, PhaseAgg> phases;

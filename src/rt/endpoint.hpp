@@ -5,8 +5,9 @@
 // it. Two transports implement the interface -- SPSC shared-memory rings
 // (RingEndpoint, in-process or cross-process via ShmRing) and
 // non-blocking UDP sockets (UdpEndpoint, udp.hpp). Both are non-blocking
-// on both directions; a transmit that cannot complete counts tx_dropped
-// instead of stalling the gateway loop.
+// on both directions; a transmit that cannot complete returns false
+// instead of stalling the gateway loop. Endpoints keep no counters: the
+// runtime counts every frame outcome once, from these return values.
 #pragma once
 
 #include <cstddef>
@@ -26,14 +27,6 @@ class FrameSink {
   virtual void on_frame(std::span<const std::byte> payload) = 0;
 };
 
-struct EndpointStats {
-  std::uint64_t rx_frames = 0;
-  std::uint64_t rx_bytes = 0;
-  std::uint64_t tx_frames = 0;
-  std::uint64_t tx_bytes = 0;
-  std::uint64_t tx_dropped = 0;  // egress backpressure (ring full / EWOULDBLOCK)
-};
-
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
@@ -42,8 +35,9 @@ class Endpoint {
   /// Returns the number delivered (0 = nothing pending).
   virtual std::size_t poll(FrameSink& sink, std::size_t max_frames) = 0;
 
-  /// Transmit one egress frame. False = transport backpressure; the
-  /// frame is dropped and counted (the runtime's egress policy).
+  /// Transmit one egress frame. False = transport backpressure (ring
+  /// full / EWOULDBLOCK / no peer yet); the frame is dropped, and the
+  /// caller counts it (the runtime's egress policy).
   virtual bool send(std::span<const std::byte> payload) = 0;
 
   /// Ingress frames queued but not yet drained (best effort; rings
@@ -51,11 +45,6 @@ class Endpoint {
   virtual std::size_t backlog() const { return 0; }
 
   virtual const char* kind() const = 0;
-
-  const EndpointStats& stats() const { return stats_; }
-
- protected:
-  EndpointStats stats_;
 };
 
 /// Endpoint over a pair of SPSC rings: `rx` carries peer->gateway
@@ -67,23 +56,11 @@ class RingEndpoint final : public Endpoint {
   RingEndpoint(SpscRing& rx, SpscRing& tx) : rx_{&rx}, tx_{&tx} {}
 
   std::size_t poll(FrameSink& sink, std::size_t max_frames) override {
-    const std::size_t n = rx_->consume(max_frames, [&](std::span<const std::byte> payload) {
-      stats_.rx_bytes += payload.size();
-      sink.on_frame(payload);
-    });
-    stats_.rx_frames += n;
-    return n;
+    return rx_->consume(max_frames,
+                        [&](std::span<const std::byte> payload) { sink.on_frame(payload); });
   }
 
-  bool send(std::span<const std::byte> payload) override {
-    if (!tx_->try_push(payload)) {
-      ++stats_.tx_dropped;
-      return false;
-    }
-    ++stats_.tx_frames;
-    stats_.tx_bytes += payload.size();
-    return true;
-  }
+  bool send(std::span<const std::byte> payload) override { return tx_->try_push(payload); }
 
   std::size_t backlog() const override { return rx_->readable_bytes(); }
   const char* kind() const override { return "ring"; }

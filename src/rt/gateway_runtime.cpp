@@ -73,17 +73,12 @@ void GatewayRuntime::start() {
       Side* side_state = &s;
       link.set_emitter(port_ptr->spec().message,
                        [this, side_state, message](const spec::MessageInstance& instance) {
-                         if (!spec::encode_into(*message, instance, side_state->tx_buf).ok()) {
-                           ++stats_.tx_encode_errors;
-                           return;
-                         }
-                         if (side_state->endpoint->send(side_state->tx_buf)) {
-                           ++stats_.tx_frames;
-                           if (tx_frames_metric_ != nullptr) tx_frames_metric_->add();
-                         } else {
-                           ++stats_.tx_dropped;
-                           if (tx_dropped_metric_ != nullptr) tx_dropped_metric_->add();
-                         }
+                         if (!spec::encode_into(*message, instance, side_state->tx_buf).ok())
+                           ++tally_.tx_encode_errors;
+                         else if (side_state->endpoint->send(side_state->tx_buf))
+                           ++tally_.tx_frames;
+                         else
+                           ++tally_.tx_dropped;
                        });
     }
   }
@@ -95,8 +90,6 @@ void GatewayRuntime::start() {
 
 void GatewayRuntime::on_ingress_frame(int side, std::span<const std::byte> payload) {
   Side& s = sides_[static_cast<std::size_t>(side)];
-  ++stats_.rx_frames;
-  if (rx_frames_metric_ != nullptr) rx_frames_metric_->add();
 
   // Identify the message: last-hit entry first (streams are bursty per
   // flow), then the side's full table.
@@ -110,8 +103,7 @@ void GatewayRuntime::on_ingress_frame(int side, std::span<const std::byte> paylo
       }
     }
     if (index == s.ingress.size()) {
-      ++stats_.rx_unknown;
-      if (rx_unknown_metric_ != nullptr) rx_unknown_metric_->add();
+      ++tally_.rx_unknown;
       return;
     }
     s.last_hit = index;
@@ -120,7 +112,6 @@ void GatewayRuntime::on_ingress_frame(int side, std::span<const std::byte> paylo
   IngressEntry& entry = s.ingress[index];
   if (!spec::decode_into(*entry.spec, payload, entry.scratch).ok()) {
     ++entry.decode_errors;
-    ++stats_.rx_decode_errors;
     return;
   }
   entry.scratch.set_send_time(now_);
@@ -128,13 +119,10 @@ void GatewayRuntime::on_ingress_frame(int side, std::span<const std::byte> paylo
   // oldest image in place; event ports enqueue and report overflow
   // (drop-newest) when the bounded queue is full. Push ports process
   // synchronously through the notify closure -> batched drain.
-  if (entry.port->deposit(entry.scratch, now_)) {
+  if (entry.port->deposit(entry.scratch, now_))
     ++entry.frames;
-  } else {
+  else
     ++entry.drops;
-    ++stats_.rx_dropped;
-    if (rx_dropped_metric_ != nullptr) rx_dropped_metric_->add();
-  }
 }
 
 std::size_t GatewayRuntime::poll_once(Instant now) {
@@ -145,7 +133,7 @@ std::size_t GatewayRuntime::poll_once(Instant now) {
     processed += s.endpoint->poll(s.sink, config_.max_batch);
   }
   if (processed > 0) {
-    ++stats_.batches;
+    ++tally_.batches;
     if (batch_frames_metric_ != nullptr)
       batch_frames_metric_->observe(static_cast<std::int64_t>(processed));
   }
@@ -153,16 +141,24 @@ std::size_t GatewayRuntime::poll_once(Instant now) {
   // behind): pull-port drains, automaton timeout polls, TT outputs.
   while (next_dispatch_ <= now_) {
     gateway_->dispatch(next_dispatch_);
-    ++stats_.dispatches;
+    ++tally_.dispatches;
     next_dispatch_ = next_dispatch_ + gateway_->config().dispatch_period;
   }
-  if (backlog_metric_ != nullptr) {
-    std::int64_t backlog = 0;
-    for (const Side& s : sides_)
-      if (s.endpoint != nullptr) backlog += static_cast<std::int64_t>(s.endpoint->backlog());
-    backlog_metric_->set(backlog);
-  }
+  if (rx_frames_metric_ != nullptr) publish_metrics();  // bind_observability() ran
   return processed;
+}
+
+void GatewayRuntime::publish_metrics() {
+  const RuntimeStats totals = stats();
+  rx_frames_metric_->publish(totals.rx_frames);
+  rx_unknown_metric_->publish(totals.rx_unknown);
+  rx_dropped_metric_->publish(totals.rx_dropped);
+  tx_frames_metric_->publish(totals.tx_frames);
+  tx_dropped_metric_->publish(totals.tx_dropped);
+  std::int64_t backlog = 0;
+  for (const Side& s : sides_)
+    if (s.endpoint != nullptr) backlog += static_cast<std::int64_t>(s.endpoint->backlog());
+  backlog_metric_->set(backlog);
 }
 
 void GatewayRuntime::note_batch(Instant start, Instant end, std::size_t frames) {
@@ -210,6 +206,19 @@ void GatewayRuntime::run() {
       std::this_thread::sleep_for(std::chrono::nanoseconds(config_.idle_sleep.ns()));
     }
   }
+}
+
+RuntimeStats GatewayRuntime::stats() const {
+  RuntimeStats totals = tally_;
+  for (const Side& s : sides_) {
+    for (const IngressEntry& entry : s.ingress) {
+      totals.rx_frames += entry.frames + entry.drops + entry.decode_errors;
+      totals.rx_decode_errors += entry.decode_errors;
+      totals.rx_dropped += entry.drops;
+    }
+  }
+  totals.rx_frames += totals.rx_unknown;
+  return totals;
 }
 
 std::vector<FlowStats> GatewayRuntime::flow_stats() const {

@@ -22,6 +22,12 @@
 // the simulator's dispatch instants bit-for-bit (the equivalence
 // property test pins this).
 //
+// Every frame outcome is counted once: an ingress frame in its flow's
+// entry (deposited, dropped, decode error) or as unknown, an egress
+// frame as sent, dropped or unencodable. stats() derives the totals
+// from those tallies when read, and the rt.<gateway>.* counters are
+// published from them once per poll_once.
+//
 // In steady state the loop performs no heap allocation: scratch
 // instances, transmit buffers and burst storage are warmed once, and
 // the metric/telemetry hooks are the allocation-free S27 instruments.
@@ -61,7 +67,7 @@ struct FlowStats {
 };
 
 struct RuntimeStats {
-  std::uint64_t rx_frames = 0;
+  std::uint64_t rx_frames = 0;        // every ingress frame, whatever its outcome
   std::uint64_t rx_unknown = 0;       // no message spec matched the payload key
   std::uint64_t rx_decode_errors = 0;
   std::uint64_t rx_dropped = 0;       // event-flow queue overflow
@@ -83,7 +89,8 @@ class GatewayRuntime {
   void attach(int side, Endpoint& endpoint);
 
   /// Register the rt.<gateway>.* instruments (queue depth, batch size,
-  /// drop counters, service latency). Host-time determinism class.
+  /// drop counters, service latency). Host-time determinism class. The
+  /// counters are published from stats() at the end of every poll_once.
   void bind_observability(obs::MetricsRegistry& metrics);
 
   /// Stream per-batch service spans into an S27 window aggregator
@@ -108,7 +115,9 @@ class GatewayRuntime {
   /// handler context via a relaxed atomic.
   void stop() { running_.store(false, std::memory_order_relaxed); }
 
-  const RuntimeStats& stats() const { return stats_; }
+  /// Totals derived from the per-flow tallies and the egress/loop
+  /// tally: rx_frames = sum(frames + drops + decode_errors) + rx_unknown.
+  RuntimeStats stats() const;
   /// Per-flow ingress accounting, all sides (stable order: side, port).
   std::vector<FlowStats> flow_stats() const;
   Instant next_dispatch() const { return next_dispatch_; }
@@ -146,6 +155,7 @@ class GatewayRuntime {
 
   void on_ingress_frame(int side, std::span<const std::byte> payload);
   void note_batch(Instant start, Instant end, std::size_t frames);
+  void publish_metrics();
 
   core::VirtualGateway* gateway_;
   Clock* clock_;
@@ -155,7 +165,9 @@ class GatewayRuntime {
   Instant next_dispatch_;
   bool started_ = false;
   std::atomic<bool> running_{false};
-  RuntimeStats stats_;
+  // Outcomes not kept per flow. rx_frames, rx_decode_errors and
+  // rx_dropped stay zero here: stats() derives them from the entries.
+  RuntimeStats tally_;
 
   // Observability (optional; raw pointers into the registry's deque).
   obs::Counter* rx_frames_metric_ = nullptr;

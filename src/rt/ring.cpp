@@ -11,12 +11,6 @@
 
 namespace decos::rt {
 
-std::size_t SpscRing::round_capacity(std::size_t bytes) {
-  std::size_t cap = kMinCapacity;
-  while (cap < bytes) cap <<= 1;
-  return cap;
-}
-
 SpscRing::SpscRing(std::size_t capacity_bytes) {
   const std::size_t capacity = round_capacity(capacity_bytes);
   owned_ = std::make_unique<std::byte[]>(region_size(capacity));

@@ -29,6 +29,7 @@
 #include <span>
 #include <string>
 
+#include "rt/framing.hpp"
 #include "util/result.hpp"
 
 namespace decos::rt {
@@ -50,18 +51,19 @@ class SpscRing {
  public:
   static constexpr std::uint32_t kMagic = 0x44435247;  // "DCRG"
   static constexpr std::uint32_t kVersion = 1;
-  static constexpr std::size_t kFrameAlign = 8;
+  static constexpr std::size_t kFrameAlign = framing::kFrameAlign;
   static constexpr std::uint32_t kWrapMarker = 0xffffffffu;
-  static constexpr std::size_t kMinCapacity = 4096;
+  static constexpr std::size_t kMinCapacity = framing::kMinCapacity;
 
-  /// Bytes a frame of `payload` bytes occupies in the ring (length
-  /// prefix + payload, rounded up to the frame alignment).
+  /// Bytes a frame of `payload` bytes occupies in the ring.
   static constexpr std::size_t framed_size(std::size_t payload) {
-    return (sizeof(std::uint32_t) + payload + (kFrameAlign - 1)) & ~(kFrameAlign - 1);
+    return framing::framed_size(payload);
   }
 
   /// Smallest valid capacity >= `bytes` (power of two, >= kMinCapacity).
-  static std::size_t round_capacity(std::size_t bytes);
+  static constexpr std::size_t round_capacity(std::size_t bytes) {
+    return framing::round_capacity(bytes);
+  }
 
   /// Region bytes needed for a ring of `capacity` data bytes.
   static std::size_t region_size(std::size_t capacity) { return sizeof(RingHeader) + capacity; }
@@ -85,9 +87,8 @@ class SpscRing {
 
   bool valid() const { return header_ != nullptr; }
   std::size_t capacity() const { return capacity_; }
-  /// Largest single payload accepted (a frame must leave room for a
-  /// wrap marker and must never be able to deadlock the ring).
-  std::size_t max_payload() const { return capacity_ / 4; }
+  /// Largest single payload accepted (framing::max_payload).
+  std::size_t max_payload() const { return framing::max_payload(capacity_); }
 
   /// Producer side. False = ring full or payload oversize; both count a
   /// drop (the caller applies its per-flow policy on top).

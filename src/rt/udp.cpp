@@ -43,7 +43,6 @@ UdpEndpoint& UdpEndpoint::operator=(UdpEndpoint&& o) noexcept {
   fd_ = o.fd_;
   peer_ = o.peer_;
   has_peer_ = o.has_peer_;
-  stats_ = o.stats_;
   burst_storage_ = std::move(o.burst_storage_);
   iovecs_ = std::move(o.iovecs_);
 #ifdef __linux__
@@ -119,7 +118,6 @@ std::size_t UdpEndpoint::poll(FrameSink& sink, std::size_t max_frames) {
   if (!has_peer_ && headers_[0].msg_hdr.msg_namelen >= sizeof(sockaddr_in)) has_peer_ = true;
   for (int i = 0; i < n; ++i) {
     const std::size_t len = headers_[i].msg_len;
-    stats_.rx_bytes += len;
     sink.on_frame(std::span<const std::byte>(
         static_cast<const std::byte*>(iovecs_[i].iov_base), len));
   }
@@ -136,31 +134,20 @@ std::size_t UdpEndpoint::poll(FrameSink& sink, std::size_t max_frames) {
       peer_ = from;
       has_peer_ = true;
     }
-    stats_.rx_bytes += static_cast<std::size_t>(len);
     sink.on_frame(std::span<const std::byte>(
         static_cast<const std::byte*>(iovecs_[0].iov_base), static_cast<std::size_t>(len)));
     ++delivered;
   }
 #endif
-  stats_.rx_frames += delivered;
   return delivered;
 }
 
 bool UdpEndpoint::send(std::span<const std::byte> payload) {
-  if (!has_peer_) {
-    ++stats_.tx_dropped;  // nowhere to send yet (peer not learned)
-    return false;
-  }
+  if (!has_peer_) return false;  // nowhere to send yet (peer not learned)
   const ssize_t sent =
       ::sendto(fd_, payload.data(), payload.size(), MSG_DONTWAIT,
                reinterpret_cast<const sockaddr*>(&peer_), sizeof(peer_));
-  if (sent != static_cast<ssize_t>(payload.size())) {
-    ++stats_.tx_dropped;
-    return false;
-  }
-  ++stats_.tx_frames;
-  stats_.tx_bytes += payload.size();
-  return true;
+  return sent == static_cast<ssize_t>(payload.size());
 }
 
 }  // namespace decos::rt

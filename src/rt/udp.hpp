@@ -4,8 +4,8 @@
 // non-blocking; poll() drains a burst with a single recvmmsg() call on
 // Linux (one syscall for up to the batch size, the socket-side analogue
 // of the ring's run-length claim) and falls back to a recvfrom() loop
-// elsewhere. send() never blocks: EWOULDBLOCK/ENOBUFS counts tx_dropped
-// -- same backpressure contract as the ring endpoint.
+// elsewhere. send() never blocks: EWOULDBLOCK/ENOBUFS returns false --
+// same backpressure contract as the ring endpoint.
 //
 // The peer address is either configured up front (connect-style) or
 // learned from the first received datagram (reply-to-sender mode), so a

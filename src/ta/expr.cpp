@@ -456,12 +456,22 @@ class ExprParser {
     return Status::success();
   }
 
+  /// Consume a binary operator. An operator chain builds a left-leaning
+  /// tree whose evaluation and destruction recurse once per operator, so
+  /// the count is capped like the nesting depth.
+  Status advance_operator() {
+    if (++operators_ > kMaxExprOperators)
+      return fail("expression has more than " + std::to_string(kMaxExprOperators) +
+                  " binary operators");
+    return advance();
+  }
+
   Result<ExprPtr> parse_or() {
     auto lhs = parse_and();
     if (!lhs.ok()) return lhs;
     ExprPtr node = lhs.value();
     while (is_op("||")) {
-      if (auto st = advance(); !st.ok()) return st.error();
+      if (auto st = advance_operator(); !st.ok()) return st.error();
       auto rhs = parse_and();
       if (!rhs.ok()) return rhs;
       node = std::make_shared<Binary>(BinOp::kOr, node, rhs.value());
@@ -476,7 +486,7 @@ class ExprParser {
     // ',' is conjunction in the paper's guard notation (Fig. 6) -- but only
     // at guard top level, never inside parentheses or call arguments.
     while (is_op("&&") || (comma_as_and_ && paren_depth_ == 0 && is_op(","))) {
-      if (auto st = advance(); !st.ok()) return st.error();
+      if (auto st = advance_operator(); !st.ok()) return st.error();
       auto rhs = parse_cmp();
       if (!rhs.ok()) return rhs;
       node = std::make_shared<Binary>(BinOp::kAnd, node, rhs.value());
@@ -495,7 +505,7 @@ class ExprParser {
     };
     for (const auto& [text, op] : kOps) {
       if (is_op(text)) {
-        if (auto st = advance(); !st.ok()) return st.error();
+        if (auto st = advance_operator(); !st.ok()) return st.error();
         auto rhs = parse_add();
         if (!rhs.ok()) return rhs;
         return ExprPtr{std::make_shared<Binary>(op, node, rhs.value())};
@@ -510,7 +520,7 @@ class ExprParser {
     ExprPtr node = lhs.value();
     while (is_op("+") || is_op("-")) {
       const BinOp op = cur_.text == "+" ? BinOp::kAdd : BinOp::kSub;
-      if (auto st = advance(); !st.ok()) return st.error();
+      if (auto st = advance_operator(); !st.ok()) return st.error();
       auto rhs = parse_mul();
       if (!rhs.ok()) return rhs;
       node = std::make_shared<Binary>(op, node, rhs.value());
@@ -524,7 +534,7 @@ class ExprParser {
     ExprPtr node = lhs.value();
     while (is_op("*") || is_op("/") || is_op("%")) {
       const BinOp op = cur_.text == "*" ? BinOp::kMul : (cur_.text == "/" ? BinOp::kDiv : BinOp::kMod);
-      if (auto st = advance(); !st.ok()) return st.error();
+      if (auto st = advance_operator(); !st.ok()) return st.error();
       auto rhs = parse_unary();
       if (!rhs.ok()) return rhs;
       node = std::make_shared<Binary>(op, node, rhs.value());
@@ -533,6 +543,17 @@ class ExprParser {
   }
 
   Result<ExprPtr> parse_unary() {
+    // Every nesting level (parenthesis, call argument, prefix operator)
+    // recurses through here, so this one check bounds the stack.
+    if (depth_ == kMaxExprDepth)
+      return fail("expression nested deeper than " + std::to_string(kMaxExprDepth) + " levels");
+    ++depth_;
+    auto operand = parse_unary_operand();
+    --depth_;
+    return operand;
+  }
+
+  Result<ExprPtr> parse_unary_operand() {
     if (is_op("!") || is_op("-")) {
       const char op = cur_.text[0];
       if (auto st = advance(); !st.ok()) return st.error();
@@ -598,6 +619,8 @@ class ExprParser {
   Lexer lexer_;
   Token cur_;
   int paren_depth_ = 0;
+  int depth_ = 0;
+  int operators_ = 0;
   bool comma_as_and_ = true;
 };
 

@@ -126,6 +126,15 @@ struct Assignment {
   std::string to_string() const;
 };
 
+/// Deepest expression nesting the parser accepts: a bare operand is
+/// depth 1, and each enclosing parenthesis, call or prefix operator adds
+/// one. The parser recurses once per level, so deeper input is a parse
+/// error rather than a stack overflow.
+inline constexpr int kMaxExprDepth = 128;
+/// Most binary operators one parse accepts: operator chains nest the
+/// tree without recursing in the parser, so they are bounded apart.
+inline constexpr int kMaxExprOperators = 1024;
+
 /// Parse a single expression. Empty input is invalid.
 Result<ExprPtr> parse_expression(std::string_view text);
 

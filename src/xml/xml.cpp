@@ -30,7 +30,7 @@ class Parser {
     skip_prolog();
     if (at_end()) return fail("document has no root element");
     auto root = std::make_unique<Element>();
-    if (auto st = parse_element(*root); !st.ok()) return st.error();
+    if (auto st = parse_element(*root, 1); !st.ok()) return st.error();
     skip_misc();
     if (!at_end()) return fail("trailing content after root element");
     return Document{std::move(root)};
@@ -161,8 +161,10 @@ class Parser {
     return value;
   }
 
-  Status parse_element(Element& out) {
+  Status parse_element(Element& out, int depth) {
     if (at_end() || peek() != '<') return fail("expected '<'");
+    if (depth > kMaxDepth)
+      return fail("elements nested deeper than " + std::to_string(kMaxDepth) + " levels");
     out.set_location(line_, col_);
     advance();
     auto name = parse_name();
@@ -214,7 +216,7 @@ class Parser {
         return Status::success();
       } else if (peek() == '<') {
         auto& child = out.add_child("");
-        if (auto st = parse_element(child); !st.ok()) return st;
+        if (auto st = parse_element(child, depth + 1); !st.ok()) return st;
       } else if (peek() == '&') {
         auto ent = parse_entity();
         if (!ent.ok()) return ent.error();

@@ -77,6 +77,11 @@ struct Document {
   std::unique_ptr<Element> root;
 };
 
+/// Deepest element nesting parse() accepts (the root is depth 1). The
+/// parser recurses once per level, so a deeper document is a parse
+/// error rather than a stack overflow.
+inline constexpr int kMaxDepth = 256;
+
 /// Parse a complete XML document from `input`. Errors carry line/column.
 Result<Document> parse(std::string_view input);
 

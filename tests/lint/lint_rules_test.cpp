@@ -1,11 +1,12 @@
 // Programmatic accept/reject coverage for every declint rule class
-// (DL001-DL006); the XML fixture round-trips live in lint_xml_test.cpp.
+// (DL001-DL006, DL011); the XML fixture round-trips live in lint_xml_test.cpp.
 #include "lint/lint.hpp"
 
 #include <gtest/gtest.h>
 
 #include "../helpers.hpp"
 #include "core/virtual_gateway.hpp"
+#include "rt/ring.hpp"
 #include "ta/expr.hpp"
 
 namespace decos::lint {
@@ -432,38 +433,98 @@ TEST(LintDl006, WarnsOnUnboundedEventInput) {
 
 // -- DL011: event-queue sizing vs live-runtime ring capacity ---------------
 
-/// rt/ring.hpp framing, restated: 4-byte length prefix, 8-byte aligned.
-std::size_t framed(std::size_t payload) { return (4 + payload + 7) & ~std::size_t{7}; }
+using rt::SpscRing;
+
+/// event_producer() whose msgwheel is padded (a non-convertible string
+/// element) to exactly `payload` wire bytes.
+spec::LinkSpec padded_event_producer(std::size_t payload) {
+  spec::LinkSpec ls = event_producer();
+  spec::MessageSpec ms = *ls.message("msgwheel");
+  spec::ElementSpec pad;
+  pad.name = "pad";
+  pad.fields.push_back(
+      spec::FieldSpec{"bytes", spec::FieldType::kString, payload - ms.wire_size(), std::nullopt});
+  ms.add_element(std::move(pad));
+  spec::LinkSpec padded{"powertrain"};
+  padded.add_message(std::move(ms));
+  for (const auto& port : ls.ports()) padded.add_port(port);
+  EXPECT_EQ(padded.message("msgwheel")->wire_size(), payload);
+  return padded;
+}
+
+/// DL011 diagnostics saying the ring can never carry the message.
+std::size_t never_carried(const Report& report) {
+  std::size_t n = 0;
+  for (const Diagnostic* d : report.by_rule(kRuleRingCapacity))
+    if (d->message.find("can never carry") != std::string::npos) ++n;
+  return n;
+}
 
 TEST(LintDl011, NotesWhenRingBuffersFewerFramesThanQueueDemands) {
   const auto a = event_producer();
   const auto b = tt_event_consumer(10_ms);
-  GatewayModel model = event_chain_model(a, b, 16);
-  const std::size_t frame = framed(a.message("msgwheel")->wire_size());
-  model.transport_ring_bytes = frame * 8;  // 8 frames buffered, 16 provisioned
+  const std::size_t frame = SpscRing::framed_size(a.message("msgwheel")->wire_size());
+  const std::size_t ring = SpscRing::kMinCapacity;
+  // The ring buffers ring/frame frames; provision twice that.
+  GatewayModel model = event_chain_model(a, b, 2 * (ring / frame));
+  model.transport_ring_bytes = ring;
   const Report report = lint_gateway(model);
   EXPECT_TRUE(report.has(kRuleRingCapacity)) << report.format();
   EXPECT_FALSE(has_error(report, kRuleRingCapacity)) << report.format();
+  EXPECT_EQ(never_carried(report), 0u) << report.format();
 }
 
 TEST(LintDl011, AdequateRingStaysClean) {
   const auto a = event_producer();
   const auto b = tt_event_consumer(10_ms);
   GatewayModel model = event_chain_model(a, b, 16);
-  model.transport_ring_bytes = framed(a.message("msgwheel")->wire_size()) * 64;
+  model.transport_ring_bytes = SpscRing::framed_size(a.message("msgwheel")->wire_size()) * 64;
   const Report report = lint_gateway(model);
   EXPECT_FALSE(report.has(kRuleRingCapacity)) << report.format();
 }
 
 TEST(LintDl011, NotesFrameLargerThanRingQuarter) {
-  const auto a = event_producer();
+  // The ring rejects payloads above capacity/4: a 4096-byte ring cannot
+  // carry a 1500-byte msgwheel at all.
+  const auto a = padded_event_producer(1500);
   const auto b = tt_event_consumer(10_ms);
   GatewayModel model = event_chain_model(a, b, 16);
-  // The ring rejects frames above capacity/4; a ring of two frames
-  // cannot carry msgwheel at all.
-  model.transport_ring_bytes = framed(a.message("msgwheel")->wire_size()) * 2;
+  model.transport_ring_bytes = SpscRing::kMinCapacity;
   const Report report = lint_gateway(model);
   EXPECT_TRUE(report.has(kRuleRingCapacity)) << report.format();
+  EXPECT_EQ(never_carried(report), 1u) << report.format();
+}
+
+TEST(LintDl011, QuarterPayloadBoundaryMatchesTheRing) {
+  const std::size_t capacity = SpscRing::kMinCapacity;
+  const auto b = tt_event_consumer(10_ms);
+  for (const std::size_t payload : {capacity / 4, capacity / 4 + 1}) {
+    const auto a = padded_event_producer(payload);
+    GatewayModel model = event_chain_model(a, b, 1);
+    model.transport_ring_bytes = capacity;
+    const Report report = lint_gateway(model);
+    SpscRing ring{capacity};
+    const bool accepted = ring.try_push(std::vector<std::byte>(payload, std::byte{0x5a}));
+    EXPECT_EQ(accepted, payload <= capacity / 4) << payload;
+    EXPECT_EQ(never_carried(report), accepted ? 0u : 1u) << payload << "\n" << report.format();
+  }
+}
+
+TEST(LintDl011, LintsTheRoundedRingNotTheRawCapacity) {
+  // --ring-capacity 5000 builds an 8192-byte ring: a 1500-byte payload
+  // fits (the raw 5000/4 = 1250 would reject it), and it buffers five
+  // framed 1504-byte frames (the raw 5000 only three), enough for a
+  // queue of four.
+  const std::size_t configured = 5000;
+  SpscRing ring{configured};
+  ASSERT_EQ(ring.capacity(), 8192u);
+  ASSERT_TRUE(ring.try_push(std::vector<std::byte>(1500, std::byte{0x5a})));
+  const auto a = padded_event_producer(1500);
+  const auto b = tt_event_consumer(10_ms);
+  GatewayModel model = event_chain_model(a, b, 4);
+  model.transport_ring_bytes = configured;
+  const Report report = lint_gateway(model);
+  EXPECT_FALSE(report.has(kRuleRingCapacity)) << report.format();
 }
 
 TEST(LintDl011, SilentWithoutRuntimeContext) {

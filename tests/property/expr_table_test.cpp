@@ -32,14 +32,21 @@ class FixedEnv final : public Environment {
 };
 
 struct ExprCase {
+  const char* name;
   const char* text;
   double expected;  // numeric result (bools as 0/1)
 };
 
+// gtest_discover_tests names each case after its printed parameter. The
+// default printer dumps the struct's bytes, `text`'s address among them,
+// so the test names would change from run to run; print the case name.
+void PrintTo(const ExprCase& c, std::ostream* os) { *os << c.name; }
+
 class ExprTable : public ::testing::TestWithParam<ExprCase> {};
 
 TEST_P(ExprTable, EvaluatesTo) {
-  const auto [text, expected] = GetParam();
+  const char* text = GetParam().text;
+  const double expected = GetParam().expected;
   auto e = parse_expression(text);
   ASSERT_TRUE(e.ok()) << text << ": " << e.error().to_string();
   FixedEnv env;
@@ -58,35 +65,35 @@ TEST_P(ExprTable, EvaluatesTo) {
 INSTANTIATE_TEST_SUITE_P(
     Precedence, ExprTable,
     ::testing::Values(
-        ExprCase{"a + b * c", 32.0},            // * over +
-        ExprCase{"(a + b) * c", 50.0},
-        ExprCase{"c - b - a", 5.0},             // left assoc
-        ExprCase{"c / b / a", 1.0},             // integer division, left assoc
-        ExprCase{"c % b % a", 1.0},
-        ExprCase{"-a + b", 1.0},                // unary minus binds tight
-        ExprCase{"-a * b", -6.0},
-        ExprCase{"a + b < c", 1.0},             // + over <
-        ExprCase{"a < b && b < c", 1.0},        // cmp over &&
-        ExprCase{"flag || a > c && a > c", 1.0},// && over ||
-        ExprCase{"!flag || flag", 1.0},
-        ExprCase{"!(a < b)", 0.0},
-        ExprCase{"a < b, c > b", 1.0},          // ',' conjunction
-        ExprCase{"a < b, c < b", 0.0},
-        ExprCase{"min(a, b) + max(a, b)", 5.0},
-        ExprCase{"abs(a - c)", 8.0},
-        ExprCase{"min(a + b, c - b) * a", 10.0},
-        ExprCase{"f * a", 5.0},                 // real promotion
-        ExprCase{"c / 4.0", 2.5},
-        ExprCase{"x > 5ms", 1.0},               // duration literal vs clock
-        ExprCase{"x <= 7ms", 1.0},
-        ExprCase{"x + 3ms == 10ms", 1.0},
-        ExprCase{"2us * 1000 == 2ms", 1.0},
-        ExprCase{"s == \"hello\"", 1.0},
-        ExprCase{"s != \"world\"", 1.0},
-        ExprCase{"a = 2", 1.0},                 // paper-style '=' equality
-        ExprCase{"true && false || true", 1.0},
-        ExprCase{"a * a * a", 8.0},
-        ExprCase{"((a))", 2.0}));
+        ExprCase{"MulOverAdd", "a + b * c", 32.0},                // * over +
+        ExprCase{"ParensOverride", "(a + b) * c", 50.0},
+        ExprCase{"SubLeftAssoc", "c - b - a", 5.0},               // left assoc
+        ExprCase{"IntDivLeftAssoc", "c / b / a", 1.0},            // integer division, left assoc
+        ExprCase{"ModLeftAssoc", "c % b % a", 1.0},
+        ExprCase{"UnaryMinusThenAdd", "-a + b", 1.0},             // unary minus binds tight
+        ExprCase{"UnaryMinusThenMul", "-a * b", -6.0},
+        ExprCase{"AddOverLess", "a + b < c", 1.0},                // + over <
+        ExprCase{"CompareOverAnd", "a < b && b < c", 1.0},        // cmp over &&
+        ExprCase{"AndOverOr", "flag || a > c && a > c", 1.0},     // && over ||
+        ExprCase{"NotOverOr", "!flag || flag", 1.0},
+        ExprCase{"NotOfParenthesised", "!(a < b)", 0.0},
+        ExprCase{"CommaConjunctionTrue", "a < b, c > b", 1.0},    // ',' conjunction
+        ExprCase{"CommaConjunctionFalse", "a < b, c < b", 0.0},
+        ExprCase{"MinPlusMax", "min(a, b) + max(a, b)", 5.0},
+        ExprCase{"AbsOfDifference", "abs(a - c)", 8.0},
+        ExprCase{"CallArgsAreExpressions", "min(a + b, c - b) * a", 10.0},
+        ExprCase{"RealPromotion", "f * a", 5.0},                  // real promotion
+        ExprCase{"RealDivision", "c / 4.0", 2.5},
+        ExprCase{"DurationGreater", "x > 5ms", 1.0},              // duration literal vs clock
+        ExprCase{"DurationLessEqual", "x <= 7ms", 1.0},
+        ExprCase{"DurationSum", "x + 3ms == 10ms", 1.0},
+        ExprCase{"DurationScaling", "2us * 1000 == 2ms", 1.0},
+        ExprCase{"StringEqual", "s == \"hello\"", 1.0},
+        ExprCase{"StringNotEqual", "s != \"world\"", 1.0},
+        ExprCase{"PaperStyleEquality", "a = 2", 1.0},             // paper-style '=' equality
+        ExprCase{"BoolAndOverOr", "true && false || true", 1.0},
+        ExprCase{"MulChain", "a * a * a", 8.0},
+        ExprCase{"NestedParens", "((a))", 2.0}));
 
 }  // namespace
 }  // namespace decos::ta

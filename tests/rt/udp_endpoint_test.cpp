@@ -24,10 +24,13 @@ std::vector<std::byte> frame_of(std::size_t size, std::uint8_t fill) {
 }
 
 /// Drain `ep` until `want` frames arrived or ~1 s passed (datagrams on
-/// loopback are fast but not synchronous).
-void poll_until(UdpEndpoint& ep, CollectSink& sink, std::size_t want) {
+/// loopback are fast but not synchronous). Returns the frame count the
+/// poll() calls reported.
+std::size_t poll_until(UdpEndpoint& ep, CollectSink& sink, std::size_t want) {
+  std::size_t polled = 0;
   for (int spin = 0; spin < 100'000 && sink.frames.size() < want; ++spin)
-    ep.poll(sink, 64);
+    polled += ep.poll(sink, 64);
+  return polled;
 }
 
 TEST(UdpEndpoint, LoopbackRoundTrip) {
@@ -36,13 +39,12 @@ TEST(UdpEndpoint, LoopbackRoundTrip) {
   auto b = UdpEndpoint::bind_loopback(0, a.value().local_port());
   ASSERT_TRUE(b.ok()) << b.error().to_string();
 
-  ASSERT_TRUE(b.value().send(frame_of(48, 0x5a)));
+  ASSERT_TRUE(b.value().send(frame_of(48, 0x5a))) << "send() reports the transmitted frame";
   CollectSink sink;
-  poll_until(a.value(), sink, 1);
+  const std::size_t polled = poll_until(a.value(), sink, 1);
   ASSERT_EQ(sink.frames.size(), 1u);
   EXPECT_EQ(sink.frames[0], frame_of(48, 0x5a));
-  EXPECT_EQ(a.value().stats().rx_frames, 1u);
-  EXPECT_EQ(b.value().stats().tx_frames, 1u);
+  EXPECT_EQ(polled, 1u) << "poll() reports each delivered frame";
 }
 
 TEST(UdpEndpoint, LearnsPeerFromFirstDatagramAndReplies) {
@@ -50,9 +52,9 @@ TEST(UdpEndpoint, LearnsPeerFromFirstDatagramAndReplies) {
   ASSERT_TRUE(gw.ok()) << gw.error().to_string();
   EXPECT_FALSE(gw.value().has_peer());
 
-  // Sending before any peer is known cannot block; it drops.
+  // Sending before any peer is known cannot block; it drops, and
+  // send() says so (the caller counts the drop).
   EXPECT_FALSE(gw.value().send(frame_of(8, 0x01)));
-  EXPECT_EQ(gw.value().stats().tx_dropped, 1u);
 
   auto client = UdpEndpoint::bind_loopback(0, gw.value().local_port());
   ASSERT_TRUE(client.ok()) << client.error().to_string();

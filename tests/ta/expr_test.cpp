@@ -218,5 +218,48 @@ TEST(ValueTest, TimeInterop) {
   EXPECT_EQ(t.as_instant().ns(), 1'000'000'000);
 }
 
+/// `1` wrapped in enough parentheses to reach nesting depth `depth`.
+std::string parenthesised(int depth) {
+  return std::string(static_cast<std::size_t>(depth - 1), '(') + "1" +
+         std::string(static_cast<std::size_t>(depth - 1), ')');
+}
+
+TEST(ExprTest, AcceptsNestingAtTheDepthLimit) {
+  EXPECT_EQ(eval(parenthesised(kMaxExprDepth)).as_int(), 1);
+  EXPECT_EQ(eval(std::string(kMaxExprDepth - 1, '-') + "1").as_int(),
+            kMaxExprDepth % 2 == 0 ? -1 : 1);
+}
+
+TEST(ExprTest, RejectsNestingOneBeyondTheDepthLimit) {
+  for (const std::string& text :
+       {parenthesised(kMaxExprDepth + 1), std::string(kMaxExprDepth, '!') + "true",
+        parenthesised(200'000)}) {
+    auto e = parse_expression(text);
+    ASSERT_FALSE(e.ok()) << text.size();
+    EXPECT_NE(e.error().message.find("nested deeper than"), std::string::npos)
+        << e.error().message;
+  }
+}
+
+/// `1+1+...+1` with `operators` additions.
+std::string sum_chain(int operators) {
+  std::string text = "1";
+  for (int i = 0; i < operators; ++i) text += "+1";
+  return text;
+}
+
+TEST(ExprTest, AcceptsOperatorChainAtTheLimit) {
+  EXPECT_EQ(eval(sum_chain(kMaxExprOperators)).as_int(), kMaxExprOperators + 1);
+}
+
+TEST(ExprTest, RejectsOperatorChainOneBeyondTheLimit) {
+  for (const int operators : {kMaxExprOperators + 1, 1'000'000}) {
+    auto e = parse_expression(sum_chain(operators));
+    ASSERT_FALSE(e.ok()) << operators;
+    EXPECT_NE(e.error().message.find("binary operators"), std::string::npos)
+        << e.error().message;
+  }
+}
+
 }  // namespace
 }  // namespace decos::ta

@@ -37,5 +37,28 @@ TEST(XmlDepthTest, WideDocumentsParse) {
   EXPECT_EQ(doc.value().root->children()[1999]->attribute("i"), "1999");
 }
 
+std::string nested(int depth) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += "<a>";
+  for (int i = 0; i < depth; ++i) text += "</a>";
+  return text;
+}
+
+TEST(XmlDepthTest, AcceptsNestingAtTheLimit) {
+  auto doc = parse(nested(kMaxDepth));
+  ASSERT_TRUE(doc.ok()) << doc.error().message;
+}
+
+TEST(XmlDepthTest, RejectsNestingOneBeyondTheLimit) {
+  auto doc = parse(nested(kMaxDepth + 1));
+  ASSERT_FALSE(doc.ok());
+  EXPECT_NE(doc.error().message.find("nested deeper than"), std::string::npos)
+      << doc.error().message;
+}
+
+TEST(XmlDepthTest, HostileDepthIsAParseErrorNotAStackOverflow) {
+  EXPECT_FALSE(parse(nested(200'000)).ok());
+}
+
 }  // namespace
 }  // namespace decos::xml

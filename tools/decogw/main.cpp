@@ -171,7 +171,7 @@ int make_transport(const std::string& descriptor, const char* side_name,
 }
 
 void print_stats(const rt::GatewayRuntime& runtime, double elapsed_s) {
-  const rt::RuntimeStats& s = runtime.stats();
+  const rt::RuntimeStats s = runtime.stats();
   std::cout << "[decogw " << elapsed_s << "s] rx=" << s.rx_frames << " tx=" << s.tx_frames
             << " dispatches=" << s.dispatches << " rx_unknown=" << s.rx_unknown
             << " rx_decode_err=" << s.rx_decode_errors << " queue_drops=" << s.rx_dropped
