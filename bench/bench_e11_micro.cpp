@@ -230,18 +230,16 @@ std::unique_ptr<core::VirtualGateway> make_dissect_gateway(int elements) {
   return gateway;
 }
 
-/// Batched vs per-instance dispatch drain (DESIGN.md S29): one pending
-/// instance per dispatch round on a pull (time-triggered) input port,
-/// drained either through the precompiled input bindings or through the
-/// reference per-instance on_input() loop. Byte-identical artifacts by
-/// construction; the bench measures the bookkeeping the batch drain
-/// amortizes (symbol re-hashing, version re-walks, interpreter lookups).
-/// A gateway whose input is a pull-mode event port: arrivals queue up in
-/// the port ring and dispatch() drains the backlog. This is the shape
-/// the S29 batched drain amortizes -- plan/interpreter resolution and
-/// the pull-request scan happen once per port per dispatch instead of
-/// per pending instance.
-std::unique_ptr<core::VirtualGateway> make_drain_gateway(bool batched) {
+/// Batched vs per-instance dispatch drain (DESIGN.md S29): pending
+/// instances on a pull-mode event input port, drained either by
+/// dispatch() through the precompiled input bindings or by the
+/// reference per-instance loop below, which hands each instance to the
+/// by-name on_input() before dispatch() finds the port empty.
+/// Byte-identical artifacts by construction; the bench measures the
+/// bookkeeping the batch drain amortizes -- plan/interpreter resolution
+/// and the pull-request scan happen once per port per dispatch instead
+/// of per pending instance.
+std::unique_ptr<core::VirtualGateway> make_drain_gateway() {
   spec::LinkSpec link_a{"dasA"};
   spec::MessageSpec in = wide_message(2, 4);
   in.set_name("msgIn");
@@ -259,29 +257,42 @@ std::unique_ptr<core::VirtualGateway> make_drain_gateway(bool batched) {
                               spec::ControlParadigm::kTimeTriggered, Duration::seconds(3600)));
   core::GatewayConfig config;
   config.default_d_acc = Duration::seconds(3600);
-  config.batched_dispatch = batched;
   auto gateway = std::make_unique<core::VirtualGateway>("micro", std::move(link_a),
                                                         std::move(link_b), config);
   gateway->finalize();
   return gateway;
 }
 
-/// One iteration = deposit `backlog` pending event instances, then one
-/// dispatch() that drains them all.
+/// The pre-S29 per-instance drain of one pull event port.
+void drain_per_instance(core::VirtualGateway& gateway, vn::Port& port, Instant now) {
+  while (port.has_data()) {
+    const spec::MessageInstance* m = port.peek();
+    if (m == nullptr) break;
+    port.drop_front();  // consume first; the slot stays intact until the ring wraps
+    gateway.on_input(0, *m, now);
+  }
+}
+
+/// One iteration = deposit `backlog` pending event instances, then
+/// drain them all and run one dispatch().
 void drain_rounds(benchmark::State& state, bool batched) {
   const int backlog = static_cast<int>(state.range(0));
-  auto gateway = make_drain_gateway(batched);
+  auto gateway = make_drain_gateway();
   vn::Port* in_port = gateway->link_a().port("msgIn");
   const spec::MessageSpec& ms = *gateway->link_a().spec().message("msgIn");
   spec::MessageInstance inst = spec::make_instance(ms);
   Instant now = Instant::origin();
+  const auto drain = [&] {
+    if (!batched) drain_per_instance(*gateway, *in_port, now);
+    gateway->dispatch(now);
+  };
   for (int i = 0; i < backlog; ++i) in_port->deposit(inst, now);
-  gateway->dispatch(now);  // warm rings, plans and scratch
+  drain();  // warm rings, plans and scratch
   for (auto _ : state) {
     now += 10_ms;
     inst.set_send_time(now);
     for (int i = 0; i < backlog; ++i) in_port->deposit(inst, now);
-    gateway->dispatch(now);
+    drain();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * backlog);
 }

@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
   const spec::MessageSpec& msg_a = *gw->link_a().spec().message("msgA");
   const spec::MessageSpec& msg_b = *gw->link_b().spec().message("msgB");
 
-  std::thread runtime_thread{[&runtime] { runtime.run(); }};
+  std::thread runtime_thread{[&runtime] { runtime.run_until(Instant::max()); }};
 
   row("%-12s %12s %10s %10s %10s %9s %9s %9s", "offered/s", "achieved/s", "sent", "rejected",
       "recv", "p50[us]", "p99[us]", "max[us]");

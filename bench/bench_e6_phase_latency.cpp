@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
       quick ? std::vector<double>{0.0, 0.5} : std::vector<double>{0.0, 0.25, 0.5, 0.75};
   std::vector<CellResult> results;
   results.reserve(3 * phases.size());  // no reallocation: cells hold raw slot pointers
-  for (const auto [p1_ms, p2_ms] : {std::pair{10, 10}, {10, 20}, {20, 10}}) {
+  for (const auto& [p1_ms, p2_ms] : {std::pair{10, 10}, {10, 20}, {20, 10}}) {
     for (const double phase : phases) {
       char label[64];
       std::snprintf(label, sizeof label, "p1=%dms p2=%dms phase=%.2f", p1_ms, p2_ms, phase);

@@ -88,10 +88,10 @@ class GatewayLink {
     return construct_plans_;
   }
 
-  /// One input port bound to its compiled dissect resources (S29). The
-  /// batched dispatch drain and the push-notify closures process an
-  /// instance through these pointers instead of re-hashing the message
-  /// Symbol into the plan and interpreter maps on every arrival.
+  /// One input port bound to its compiled dissect resources (S29). Every
+  /// port arrival -- the dispatch() pull drain and the push-notify
+  /// closures -- is processed through these pointers instead of
+  /// re-hashing the message Symbol into the plan and interpreter maps.
   struct InputBinding {
     vn::Port* port = nullptr;
     const spec::PortSpec* port_spec = nullptr;

@@ -520,27 +520,16 @@ void VirtualGateway::bind_inputs() {
       if (binding.port_spec->direction != spec::DataDirection::kInput ||
           binding.port_spec->interaction != spec::Interaction::kPush)
         continue;
-      const int side = l.side();
-      binding.port->set_notify([this, side, &l, &binding](vn::Port& p) {
+      binding.port->set_notify([this, &l, &binding](vn::Port& p) {
         // Deposit just happened; its instant is the port's last update.
         const Instant now = p.last_update().value_or(Instant::origin());
-        if (p.spec().semantics == spec::InfoSemantics::kState) {
-          // Borrow the freshest image; the gateway copies what it keeps.
-          if (const spec::MessageInstance* m = p.peek()) {
-            if (config_.batched_dispatch)
-              drain_input(l, binding, *m, now);
-            else
-              on_input(side, *m, now);
-          }
-        } else if (const spec::MessageInstance* m = p.peek()) {
-          // Consume before processing (as the old read() did); the
-          // dropped slot's contents stay intact until the ring wraps.
-          p.drop_front();
-          if (config_.batched_dispatch)
-            drain_input(l, binding, *m, now);
-          else
-            on_input(side, *m, now);
-        }
+        const spec::MessageInstance* m = p.peek();
+        if (m == nullptr) return;
+        // State: borrow the freshest image; the gateway copies what it
+        // keeps. Event: consume before processing; the dropped slot's
+        // contents stay intact until the ring wraps.
+        if (!binding.is_state) p.drop_front();
+        drain_input(l, binding, *m, now);
       });
     }
   }
@@ -548,12 +537,11 @@ void VirtualGateway::bind_inputs() {
 
 void VirtualGateway::on_input(int side, const spec::MessageInstance& instance, Instant now) {
   if (!finalized_) throw SpecError("gateway '" + name_ + "' used before finalize()");
-  now_ = now;
   GatewayLink& link = this->link(side);
-  ++stats_.messages_in;
-
   const auto plan_it = link.dissect_plans_.find(instance.message_sym());
   if (plan_it == link.dissect_plans_.end()) {
+    now_ = now;
+    ++stats_.messages_in;
     ++stats_.blocked_unknown;
     if (suppressed_unknown_ != nullptr) suppressed_unknown_->add();
     DECOS_TRACE(trace_, now, sim::TraceKind::kGatewayBlocked, instance.message(),
@@ -561,17 +549,14 @@ void VirtualGateway::on_input(int side, const spec::MessageInstance& instance, I
     return;
   }
   DissectPlan& plan = plan_it->second;
-  if (!process_input(link, plan, link.recv_interpreter(plan.message_sym), instance, now)) return;
-
-  // Event-driven forwarding: freshly stored elements may enable
-  // event-triggered outputs on either side immediately.
-  try_outputs(link_a_, now, /*tt_outputs=*/false, /*et_outputs=*/true);
-  try_outputs(link_b_, now, /*tt_outputs=*/false, /*et_outputs=*/true);
+  process_input(link, plan, link.recv_interpreter(plan.message_sym), instance, now);
 }
 
-bool VirtualGateway::process_input(GatewayLink& link, DissectPlan& plan,
+void VirtualGateway::process_input(GatewayLink& link, DissectPlan& plan,
                                    ta::Interpreter* recv_interpreter,
                                    const spec::MessageInstance& instance, Instant now) {
+  now_ = now;
+  ++stats_.messages_in;
   if (config_.temporal_filtering && recv_interpreter != nullptr) {
     ta::Interpreter* interpreter = recv_interpreter;
     maybe_restart(link, now);
@@ -586,7 +571,7 @@ bool VirtualGateway::process_input(GatewayLink& link, DissectPlan& plan,
       if (interpreter->in_error()) note_error(link, interpreter->spec().name(), now);
       DECOS_TRACE(trace_, now, sim::TraceKind::kGatewayBlocked, instance.message(),
                   "temporal violation (side " + std::to_string(link.side()) + ")");
-      return false;
+      return;
     }
   }
 
@@ -599,13 +584,17 @@ bool VirtualGateway::process_input(GatewayLink& link, DissectPlan& plan,
       if (suppressed_value_ != nullptr) suppressed_value_->add();
       DECOS_TRACE(trace_, now, sim::TraceKind::kGatewayBlocked, instance.message(),
                   "value filter (side " + std::to_string(link.side()) + ")");
-      return false;
+      return;
     }
   }
 
   ++stats_.messages_admitted;
   dissect_and_store(link, plan, instance, now);
-  return true;
+
+  // Event-driven forwarding: freshly stored elements may enable
+  // event-triggered outputs on either side immediately.
+  try_outputs(link_a_, now, /*tt_outputs=*/false, /*et_outputs=*/true);
+  try_outputs(link_b_, now, /*tt_outputs=*/false, /*et_outputs=*/true);
 }
 
 void VirtualGateway::drain_input(GatewayLink& link, const GatewayLink::InputBinding& binding,
@@ -616,11 +605,7 @@ void VirtualGateway::drain_input(GatewayLink& link, const GatewayLink::InputBind
     on_input(link.side(), instance, now);
     return;
   }
-  now_ = now;
-  ++stats_.messages_in;
-  if (!process_input(link, *binding.plan, binding.recv_interpreter, instance, now)) return;
-  try_outputs(link_a_, now, /*tt_outputs=*/false, /*et_outputs=*/true);
-  try_outputs(link_b_, now, /*tt_outputs=*/false, /*et_outputs=*/true);
+  process_input(link, *binding.plan, binding.recv_interpreter, instance, now);
 }
 
 void VirtualGateway::dissect_and_store(GatewayLink& link, DissectPlan& plan,
@@ -896,67 +881,31 @@ void VirtualGateway::dispatch(Instant now) {
   for (GatewayLink* link : {&link_a_, &link_b_}) {
     maybe_restart(*link, now);
 
-    // Drain pull-mode input ports. Batched: each port's pending backlog
-    // runs through its precompiled binding -- one plan/interpreter
-    // resolution and one pull-request scan per port per dispatch, not
-    // per instance. The per-instance admission sequence (and with it
-    // every artifact) is preserved; only the lookups are amortized.
-    if (config_.batched_dispatch) {
-      for (const GatewayLink::InputBinding& binding : link->input_bindings_) {
-        if (!binding.is_pull) continue;
-        if (config_.pull_only_on_request) {
-          bool wanted = false;
-          for (const ElementId id : binding.pull_request_ids)
-            if (repository_.requested(id)) {
-              wanted = true;
-              break;
-            }
-          if (!wanted) continue;
-        }
-        vn::Port& port = *binding.port;
-        while (port.has_data()) {
-          if (binding.is_state) {
-            // State: borrow the one current image, no consumption.
-            if (const spec::MessageInstance* m = port.peek()) drain_input(*link, binding, *m, now);
+    // Drain pull-mode input ports: each port's pending backlog runs
+    // through its precompiled binding -- one plan/interpreter resolution
+    // and one pull-request scan per port per dispatch, not per instance.
+    for (const GatewayLink::InputBinding& binding : link->input_bindings_) {
+      if (!binding.is_pull) continue;
+      if (config_.pull_only_on_request) {
+        bool wanted = false;
+        for (const ElementId id : binding.pull_request_ids)
+          if (repository_.requested(id)) {
+            wanted = true;
             break;
           }
-          const spec::MessageInstance* m = port.peek();
-          if (m == nullptr) break;
-          port.drop_front();  // consume first; the slot stays intact until the ring wraps
-          drain_input(*link, binding, *m, now);
-        }
+        if (!wanted) continue;
       }
-    } else {
-      // Reference per-instance path (batched_dispatch_lockstep_test pins
-      // the batched drain against it).
-      for (const auto& port_ptr : link->ports_) {
-        vn::Port& port = *port_ptr;
-        const spec::PortSpec& port_spec = port.spec();
-        if (port_spec.direction != spec::DataDirection::kInput ||
-            port_spec.interaction != spec::Interaction::kPull)
-          continue;
-        if (config_.pull_only_on_request) {
-          bool wanted = false;
-          if (const auto sym = SymbolTable::global().lookup(port_spec.message)) {
-            const auto pit = link->dissect_plans_.find(*sym);
-            if (pit != link->dissect_plans_.end())
-              for (const DissectItem& item : pit->second.items)
-                if (item.repo_id != kInvalidElementId && repository_.requested(item.repo_id))
-                  wanted = true;
-          }
-          if (!wanted) continue;
+      vn::Port& port = *binding.port;
+      while (port.has_data()) {
+        if (binding.is_state) {
+          // State: borrow the one current image, no consumption.
+          if (const spec::MessageInstance* m = port.peek()) drain_input(*link, binding, *m, now);
+          break;
         }
-        while (port.has_data()) {
-          if (port_spec.semantics == spec::InfoSemantics::kState) {
-            // State: borrow the one current image, no consumption.
-            if (const spec::MessageInstance* m = port.peek()) on_input(link->side(), *m, now);
-            break;
-          }
-          const spec::MessageInstance* m = port.peek();
-          if (m == nullptr) break;
-          port.drop_front();  // consume first; the slot stays intact until the ring wraps
-          on_input(link->side(), *m, now);
-        }
+        const spec::MessageInstance* m = port.peek();
+        if (m == nullptr) break;
+        port.drop_front();  // consume first; the slot stays intact until the ring wraps
+        drain_input(*link, binding, *m, now);
       }
     }
 

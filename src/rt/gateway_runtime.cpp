@@ -193,18 +193,17 @@ void GatewayRuntime::note_batch(Instant start, Instant end, std::size_t frames) 
   telemetry_->on_span(span);
 }
 
-void GatewayRuntime::run() {
+void GatewayRuntime::run_until(Instant deadline) {
   if (!started_) start();
-  running_.store(true, std::memory_order_relaxed);
-  const bool sleep_when_idle = config_.idle_sleep > Duration::zero();
-  while (running_.load(std::memory_order_relaxed)) {
+  const auto idle = std::chrono::nanoseconds(config_.idle_sleep.ns());
+  while (!stop_requested()) {
     const Instant t0 = clock_->now();
+    if (t0 >= deadline) return;
     const std::size_t processed = poll_once(t0);
-    if (processed > 0) {
+    if (processed > 0)
       note_batch(t0, clock_->now(), processed);
-    } else if (sleep_when_idle) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(config_.idle_sleep.ns()));
-    }
+    else if (idle.count() > 0)
+      std::this_thread::sleep_for(idle);
   }
 }
 

@@ -108,12 +108,19 @@ class GatewayRuntime {
   /// for tests and for single-threaded co-simulation.
   std::size_t poll_once(Instant now);
 
-  /// Run until stop(): poll, sample service latency, idle-sleep when
-  /// nothing moved.
-  void run();
-  /// Make run() return; callable from another thread or a signal
-  /// handler context via a relaxed atomic.
-  void stop() { running_.store(false, std::memory_order_relaxed); }
+  /// The host loop: poll at clock.now(); after an iteration that moved
+  /// frames, record its per-frame service time and batch span; after
+  /// one that moved none, sleep config.idle_sleep. Returns once
+  /// clock.now() >= `deadline` or stop() has been called. Callers that
+  /// need periodic work between polls (decogw's stats line) call it
+  /// again with the next deadline.
+  void run_until(Instant deadline);
+  /// Make run_until() return, now and in every later call. Sticky: a
+  /// stop() that lands before run_until() starts is not lost. Callable
+  /// from another thread or a signal handler (a relaxed store to a
+  /// lock-free atomic).
+  void stop() { stop_requested_.store(true, std::memory_order_relaxed); }
+  bool stop_requested() const { return stop_requested_.load(std::memory_order_relaxed); }
 
   /// Totals derived from the per-flow tallies and the egress/loop
   /// tally: rx_frames = sum(frames + drops + decode_errors) + rx_unknown.
@@ -164,7 +171,8 @@ class GatewayRuntime {
   Instant now_;
   Instant next_dispatch_;
   bool started_ = false;
-  std::atomic<bool> running_{false};
+  std::atomic<bool> stop_requested_{false};
+  static_assert(std::atomic<bool>::is_always_lock_free, "stop() must be signal-safe");
   // Outcomes not kept per flow. rx_frames, rx_decode_errors and
   // rx_dropped stay zero here: stats() derives them from the entries.
   RuntimeStats tally_;

@@ -99,26 +99,52 @@ class SpscRing {
   /// span<const byte>, retire them with one release store. Returns the
   /// number of frames delivered. The spans alias ring storage and are
   /// only valid inside the callback.
+  ///
+  /// The cursors and length prefixes live in memory another process
+  /// writes, so every step is checked before it is taken: the claimed
+  /// run fits the ring, a wrap marker's gap and a frame's bytes lie
+  /// inside both the run and the data area, a length is at most
+  /// max_payload(). The first violation poisons the ring: head stays
+  /// after the last good frame and nothing is delivered again.
   template <typename Sink>
   std::size_t consume(std::size_t max_frames, Sink&& sink) {
+    if (poisoned_) return 0;
     const std::uint64_t tail = header_->tail.load(std::memory_order_acquire);
     std::uint64_t head = header_->head.load(std::memory_order_relaxed);
+    if (tail - head > capacity_ || (head & (kFrameAlign - 1)) != 0) {
+      poisoned_ = true;  // tail behind head, a run longer than the ring, or a torn head
+      return 0;
+    }
     std::size_t delivered = 0;
     while (head != tail && delivered < max_frames) {
       const std::size_t offset = static_cast<std::size_t>(head & mask_);
       std::uint32_t len;
       std::memcpy(&len, data_ + offset, sizeof(len));
       if (len == kWrapMarker) {
-        head += capacity_ - offset;  // skip the tail gap, continue at 0
+        const std::size_t gap = capacity_ - offset;
+        if (tail - head < gap) {
+          poisoned_ = true;
+          break;
+        }
+        head += gap;  // skip the tail gap, continue at 0
         continue;
       }
+      const std::size_t framed = framed_size(len);
+      if (len > max_payload() || offset + framed > capacity_ || tail - head < framed) {
+        poisoned_ = true;
+        break;
+      }
       sink(std::span<const std::byte>(data_ + offset + sizeof(std::uint32_t), len));
-      head += framed_size(len);
+      head += framed;
       ++delivered;
     }
     header_->head.store(head, std::memory_order_release);
     return delivered;
   }
+
+  /// True once consume() met a cursor or length no honest producer
+  /// writes. Consumer-local: never read back from the shared region.
+  bool poisoned() const { return poisoned_; }
 
   /// Published-but-unconsumed bytes (approximate across threads).
   std::size_t readable_bytes() const {
@@ -135,6 +161,7 @@ class SpscRing {
     data_ = o.data_;
     capacity_ = o.capacity_;
     mask_ = o.mask_;
+    poisoned_ = o.poisoned_;
     o.header_ = nullptr;
     o.data_ = nullptr;
   }
@@ -144,6 +171,7 @@ class SpscRing {
   std::byte* data_ = nullptr;
   std::size_t capacity_ = 0;
   std::uint64_t mask_ = 0;
+  bool poisoned_ = false;
 };
 
 /// A SpscRing living in a POSIX shared-memory object, so a producer in

@@ -126,7 +126,9 @@ TEST(CorruptValuesTest, CorruptsOnlyDynamicFields) {
   // The static key field survives: the message still identifies.
   EXPECT_EQ(inst.field("name", "id", ms).as_int(), 731);
   const auto bytes = spec::encode(ms, inst);
-  if (bytes.ok()) EXPECT_TRUE(spec::matches_key(ms, bytes.value()));
+  if (bytes.ok()) {
+    EXPECT_TRUE(spec::matches_key(ms, bytes.value()));
+  }
 }
 
 TEST(CorruptValuesTest, ZeroRateChangesNothing) {

@@ -73,7 +73,9 @@ TEST(DumpRoundtrip, PreservesSpansRecordsAndMetrics) {
   ASSERT_EQ(cell.metrics.entries.size(), 3u);
   const MetricValue* counter = cell.metrics.find("tt.frames_sent");
   ASSERT_NE(counter, nullptr);
-  if (kMetricsEnabled) EXPECT_EQ(counter->value, 3);
+  if (kMetricsEnabled) {
+    EXPECT_EQ(counter->value, 3);
+  }
 }
 
 TEST(DumpRoundtrip, RejectsMalformedLines) {

@@ -1,11 +1,18 @@
 // Lockstep property of batched gateway dispatch (S29): the precompiled
 // drain through GatewayLink::input_bindings() is an *optimization*, not
 // a semantics change. A seeded mini-cluster -- drifting clocks, faults,
-// randomized offsets -- run with batched dispatch must produce every
-// observable artifact byte-for-byte identical to the reference
-// per-instance path: span trees, metrics fingerprints, telemetry,
-// dispatch and forward counts. Checked at --sim-jobs 1 and 8 so the
-// equivalence also composes with the partitioned kernel (S28).
+// randomized offsets -- run through the gateways' compiled input path
+// must produce every observable artifact byte-for-byte identical to the
+// reference per-instance path: span trees, metrics fingerprints,
+// telemetry, dispatch and forward counts. Checked at --sim-jobs 1 and 8
+// so the equivalence also composes with the partitioned kernel (S28).
+//
+// The reference lives here, not in the gateway: per_instance() replaces
+// the push-notify closure finalize() installs on every push input port
+// with the pre-S29 one, which hands each arrival to the by-name entry
+// on_input() (plan and interpreter looked up per instance). The mini
+// cluster has no pull ports; request_variables_test covers the pull
+// drain.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,22 +25,34 @@ namespace {
 using minicluster::RunArtifacts;
 using minicluster::run_mini_cluster;
 
-core::GatewayConfig batched(bool on) {
-  core::GatewayConfig config;
-  config.batched_dispatch = on;
-  return config;
+void per_instance(core::VirtualGateway& gw) {
+  for (int side = 0; side < 2; ++side) {
+    for (const auto& port : gw.link(side).ports()) {
+      const spec::PortSpec& ps = port->spec();
+      if (ps.direction != spec::DataDirection::kInput ||
+          ps.interaction != spec::Interaction::kPush)
+        continue;
+      port->set_notify([&gw, side](vn::Port& p) {
+        const Instant now = p.last_update().value_or(Instant::origin());
+        const spec::MessageInstance* m = p.peek();
+        if (m == nullptr) return;
+        if (p.spec().semantics == spec::InfoSemantics::kEvent) p.drop_front();
+        gw.on_input(side, *m, now);
+      });
+    }
+  }
 }
 
 class BatchedDispatchLockstep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BatchedDispatchLockstep, ArtifactsIdenticalToPerInstanceDispatch) {
-  const RunArtifacts reference = run_mini_cluster(GetParam(), 1, batched(false));
+  const RunArtifacts reference = run_mini_cluster(GetParam(), 1, per_instance);
   ASSERT_GT(reference.forwarded, 0u) << "mini cluster never forwarded a message";
   ASSERT_FALSE(reference.span_tree.empty());
   ASSERT_FALSE(reference.telemetry.empty());
 
   for (const std::size_t sim_jobs : {std::size_t{1}, std::size_t{8}}) {
-    const RunArtifacts run = run_mini_cluster(GetParam(), sim_jobs, batched(true));
+    const RunArtifacts run = run_mini_cluster(GetParam(), sim_jobs);
     EXPECT_EQ(run.dispatched, reference.dispatched) << "sim-jobs " << sim_jobs;
     EXPECT_EQ(run.forwarded, reference.forwarded) << "sim-jobs " << sim_jobs;
     EXPECT_EQ(run.span_tree, reference.span_tree) << "sim-jobs " << sim_jobs;
@@ -46,8 +65,8 @@ TEST_P(BatchedDispatchLockstep, ArtifactsIdenticalToPerInstanceDispatch) {
 TEST_P(BatchedDispatchLockstep, ReferencePathIsDeterministicToo) {
   // Baseline sanity: the reference path itself is seed-deterministic, so
   // a pass above cannot come from two equal-but-wrong runs.
-  const RunArtifacts a = run_mini_cluster(GetParam(), 1, batched(false));
-  const RunArtifacts b = run_mini_cluster(GetParam(), 1, batched(false));
+  const RunArtifacts a = run_mini_cluster(GetParam(), 1, per_instance);
+  const RunArtifacts b = run_mini_cluster(GetParam(), 1, per_instance);
   EXPECT_EQ(a.span_tree, b.span_tree);
   EXPECT_EQ(a.metrics_fingerprint, b.metrics_fingerprint);
   EXPECT_EQ(a.telemetry, b.telemetry);

@@ -81,7 +81,9 @@ TEST_P(EtArbitration, PriorityOrderExactlyOnceNoLossBelowCapacity) {
   std::map<int, std::int64_t> last_seq;
   for (const Delivery& d : deliveries) {
     const auto it = last_seq.find(d.priority);
-    if (it != last_seq.end()) EXPECT_GT(d.seq, it->second);
+    if (it != last_seq.end()) {
+      EXPECT_GT(d.seq, it->second);
+    }
     last_seq[d.priority] = d.seq;
   }
 }

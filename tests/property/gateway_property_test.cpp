@@ -159,7 +159,9 @@ TEST_P(StateMonotonicity, ForwardedStateValuesWereProducedAndFresh) {
   for (std::size_t i = 0; i < forwarded.size(); ++i) {
     EXPECT_GE(forwarded[i], 1);
     EXPECT_LE(forwarded[i], produced);
-    if (i > 0) EXPECT_GE(forwarded[i], forwarded[i - 1]);  // monotone: freshest wins
+    if (i > 0) {
+      EXPECT_GE(forwarded[i], forwarded[i - 1]);  // monotone: freshest wins
+    }
   }
 }
 

@@ -7,9 +7,11 @@
 // RunArtifacts value the callers compare for *identity*:
 //
 //   partitioned_lockstep_test      varies --sim-jobs          (S28)
-//   batched_dispatch_lockstep_test varies GatewayConfig       (S29)
+//   batched_dispatch_lockstep_test swaps the gateways' input path
+//                                  through the post-wiring hook (S29)
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -116,8 +118,12 @@ inline std::string deterministic_lines(const std::string& stream) {
   return out.str();
 }
 
+/// Called on every gateway once it is finalized and wired to both of
+/// its virtual networks, before the cluster starts.
+using GatewayHook = std::function<void(core::VirtualGateway&)>;
+
 inline RunArtifacts run_mini_cluster(std::uint64_t seed, std::size_t sim_jobs,
-                                     core::GatewayConfig gateway_config = {}) {
+                                     const GatewayHook& after_wiring = {}) {
   Rng rng{seed};
   constexpr std::size_t kNodes = kIslands * kIslandNodes;
   constexpr std::size_t kPairs = kIslands * kPairsPerIsland;
@@ -182,12 +188,13 @@ inline RunArtifacts run_mini_cluster(std::uint64_t seed, std::size_t sim_jobs,
     link_b.add_message(state_message("msgB" + tag, "img", 2));
     link_b.add_port(output_port("msgB" + tag));
     gateways.push_back(std::make_unique<core::VirtualGateway>("gw" + tag, std::move(link_a),
-                                                              std::move(link_b), gateway_config));
+                                                              std::move(link_b)));
     auto& gw = *gateways.back();
     gw.finalize();
     gw.bind_observability(cluster.simulator());
     core::wire_tt_link(gw, 0, vn_a, cluster.controller(host), {});
     core::wire_et_link(gw, 1, vn_b, cluster.controller(host), cluster.vn_slots(vn_b_id, host));
+    if (after_wiring) after_wiring(gw);
     if (gw_partitions[host] == nullptr) {
       gw_partitions[host] =
           &cluster.component(host).add_partition("gw", "architecture", 0_ms, 2_ms);

@@ -71,7 +71,9 @@ TEST_P(RepositoryProperty, StateFreshnessAndAccuracy) {
       EXPECT_EQ(repo.available("s", now), accurate);
       auto fetched = repo.fetch("s", now);
       EXPECT_EQ(fetched.has_value(), accurate);
-      if (fetched) EXPECT_EQ(fetched->field("v")->as_int(), last_value);
+      if (fetched) {
+        EXPECT_EQ(fetched->field("v")->as_int(), last_value);
+      }
       if (last_value >= 0) {
         const std::string names[] = {"s"};
         EXPECT_EQ(repo.horizon(names, now), (last_store + d_acc) - now);

@@ -50,7 +50,9 @@ TEST_P(SimOrdering, RandomSchedulesFireInOrder) {
   for (std::size_t i = 1; i < fired.size(); ++i) {
     // Non-decreasing time; FIFO among equal instants.
     ASSERT_LE(fired[i - 1].when, fired[i].when);
-    if (fired[i - 1].when == fired[i].when) ASSERT_LT(fired[i - 1].seq, fired[i].seq);
+    if (fired[i - 1].when == fired[i].when) {
+      ASSERT_LT(fired[i - 1].seq, fired[i].seq);
+    }
   }
   // Every fired event fired at exactly its scheduled time.
   for (const Fired& f : fired) {

@@ -205,7 +205,9 @@ void expect_encode_equivalent_or_throw(const MessageSpec& ms, const MessageInsta
   EXPECT_EQ(threw_a, threw_b) << what;
   EXPECT_EQ(ok_a, ok_b) << what;
   EXPECT_EQ(text_a, text_b) << what;
-  if (ok_a && ok_b) EXPECT_EQ(compiled, reference) << what;
+  if (ok_a && ok_b) {
+    EXPECT_EQ(compiled, reference) << what;
+  }
 }
 
 class WireLayoutEquivalence : public ::testing::TestWithParam<std::uint64_t> {};

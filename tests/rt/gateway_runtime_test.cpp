@@ -1,13 +1,18 @@
 // rt::GatewayRuntime behaviour over ring, shm and UDP transports: byte
 // frames in, compiled gateway path, byte frames out; per-flow
 // backpressure policies; exact dispatch grid; live temporal filtering.
-// All under a ManualClock, so every assertion is deterministic.
+// All under a ManualClock, so every assertion is deterministic -- except
+// the run_until() host-loop cases at the end, which run on the
+// monotonic clock and assert only bounds.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <sstream>
+#include <thread>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "rt_fixture.hpp"
 #include "rt/gateway_runtime.hpp"
 #include "rt/udp.hpp"
@@ -358,6 +363,86 @@ TEST(GatewayRuntime, EveryFrameOutcomeIsTalliedOnce) {
   EXPECT_GT(stats.tx_dropped, 0u);
   EXPECT_EQ(stats.tx_frames + stats.tx_dropped + stats.tx_encode_errors,
             gw->stats().messages_constructed);
+}
+
+TEST(GatewayRuntime, StopBeforeRunUntilReturnsAtOnce) {
+  // The race E22 used to lose: stop() lands before the runtime thread
+  // enters its loop. The stop is sticky, so the loop never starts.
+  auto gw = make_rt_gateway({});
+  MonotonicClock clock;
+  GatewayRuntime runtime{*gw, clock};
+  RingPair side_a;
+  runtime.attach(0, side_a.endpoint);
+  runtime.stop();
+  std::thread loop{[&runtime] { runtime.run_until(Instant::max()); }};
+  loop.join();
+  EXPECT_TRUE(runtime.stop_requested());
+  EXPECT_EQ(runtime.stats().batches, 0u);
+}
+
+TEST(GatewayRuntime, RunUntilReturnsAtItsDeadline) {
+  auto gw = make_rt_gateway({});
+  MonotonicClock clock;
+  GatewayRuntime runtime{*gw, clock};
+  RingPair side_a;
+  runtime.attach(0, side_a.endpoint);
+  const Instant deadline = clock.now() + Duration::milliseconds(20);
+  runtime.run_until(deadline);
+  const Instant returned = clock.now();
+  EXPECT_GE(returned, deadline);
+  EXPECT_LT(returned, deadline + Duration::seconds(1)) << "loop overran its deadline";
+  EXPECT_GE(runtime.stats().dispatches, 10u) << "the dispatch grid ran while idle";
+  EXPECT_FALSE(runtime.stop_requested());
+}
+
+TEST(GatewayRuntime, RunUntilStreamsBatchSpansIntoHostWindows) {
+  auto gw = make_rt_gateway({});
+  MonotonicClock clock;
+  GatewayRuntime runtime{*gw, clock};
+  RingPair side_a, side_b;
+  runtime.attach(0, side_a.endpoint);
+  runtime.attach(1, side_b.endpoint);
+  obs::MetricsRegistry metrics;
+  runtime.bind_observability(metrics);
+  std::ostringstream stream;
+  obs::OstreamTelemetrySink sink{stream};
+  obs::TelemetryConfig config;
+  config.window = Duration::milliseconds(10);
+  config.timeline = obs::TelemetryTimeline::kHost;
+  obs::WindowAggregator aggregator{&metrics, nullptr, config};
+  aggregator.set_sink(&sink);
+  aggregator.begin_stream("rt");
+  runtime.set_telemetry(&aggregator);
+  runtime.start();
+
+  // Steady traffic: a few frames per 10 ms host window, each slice
+  // served by the loop up to the next window, as decogw runs it.
+  const spec::MessageSpec& msg_a = *gw->link_a().spec().message("msgA");
+  Instant next = clock.now();
+  for (int slice = 0; slice < 8; ++slice) {
+    for (int i = 0; i < 4; ++i)
+      ASSERT_TRUE(side_a.ingress.try_push(encode_frame(msg_a, slice * 4 + i, clock.now())));
+    next = next + Duration::milliseconds(10);
+    runtime.run_until(next);
+    drain(side_b.egress);
+  }
+  aggregator.flush();
+  EXPECT_EQ(runtime.stats().rx_frames, 32u);
+
+  std::istringstream in{stream.str()};
+  const auto streams = obs::load_telemetry(in);
+  ASSERT_TRUE(streams.ok()) << streams.error().to_string();
+  ASSERT_EQ(streams.value().size(), 1u);
+  std::size_t served_windows = 0;
+  for (const obs::TelemetryWindow& window : streams.value()[0].windows) {
+    bool batch_flow = false, service_samples = false;
+    for (const obs::TelemetryFlow& flow : window.flows)
+      batch_flow |= flow.flow.find("rt.batch") != std::string::npos && flow.traces > 0;
+    for (const obs::TelemetryMetric& metric : window.metrics)
+      service_samples |= metric.name == "rt.rtgw.service_ns" && metric.n > 0;
+    if (batch_flow && service_samples) ++served_windows;
+  }
+  EXPECT_GE(served_windows, 3u) << stream.str();
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // SPSC ring unit tests: frame round trips, wrap-around via the marker
-// path, full/empty boundaries, run-length claim limits, and the ShmRing
-// create/open lifecycle.
+// path, full/empty boundaries, run-length claim limits, the consumer's
+// checks against a hostile producer, and the ShmRing create/open
+// lifecycle.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -107,6 +109,88 @@ TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscRing::round_capacity(4096), 4096u);
   EXPECT_EQ(SpscRing::round_capacity(4097), 8192u);
   EXPECT_EQ(SpscRing::round_capacity(1 << 20), std::size_t{1} << 20);
+}
+
+// A 4096-byte ring over an exactly-sized heap region, with the header
+// exposed: a hostile producer process can write any cursor or byte, and
+// a read past the region is a heap overflow the sanitizer build reports.
+struct HostileRing {
+  static constexpr std::size_t kCapacity = 4096;
+  struct alignas(64) Region {
+    std::byte bytes[sizeof(RingHeader) + kCapacity];
+  };
+  std::unique_ptr<Region> region = std::make_unique<Region>();
+  SpscRing ring{region->bytes, sizeof(Region::bytes), /*init=*/true};
+
+  RingHeader& header() { return *reinterpret_cast<RingHeader*>(region->bytes); }
+  void write_u32(std::size_t offset, std::uint32_t value) {
+    std::memcpy(region->bytes + sizeof(RingHeader) + offset, &value, sizeof(value));
+  }
+};
+
+TEST(SpscRingHostile, HugeLengthPoisonsWithoutReading) {
+  HostileRing h;
+  h.write_u32(0, 1u << 20);  // len = 1 MiB at offset 0
+  h.header().tail.store(16);
+  EXPECT_EQ(drain(h.ring).size(), 0u);
+  EXPECT_TRUE(h.ring.poisoned());
+  EXPECT_EQ(h.header().head.load(), 0u);
+}
+
+TEST(SpscRingHostile, FrameCrossingTheRegionEndPoisons) {
+  HostileRing h;
+  // A 64-byte frame at offset 4080: its bytes would run 56 bytes past
+  // the data area. Producers never split a frame across the end.
+  h.header().head.store(HostileRing::kCapacity - 16);
+  h.write_u32(HostileRing::kCapacity - 16, 64);
+  h.header().tail.store(HostileRing::kCapacity - 16 + SpscRing::framed_size(64));
+  EXPECT_EQ(drain(h.ring).size(), 0u);
+  EXPECT_TRUE(h.ring.poisoned());
+  EXPECT_EQ(h.header().head.load(), HostileRing::kCapacity - 16);
+}
+
+TEST(SpscRingHostile, BadFrameAfterGoodOnesKeepsHeadAtTheLastGoodFrame) {
+  HostileRing h;
+  ASSERT_TRUE(h.ring.try_push(frame_of(24, 0x11)));
+  ASSERT_TRUE(h.ring.try_push(frame_of(40, 0x22)));
+  const std::uint64_t good_end = h.header().tail.load();
+  // A third frame claims more bytes than were published.
+  h.write_u32(good_end, 200);
+  h.header().tail.store(good_end + 16);
+  const auto frames = drain(h.ring);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[1], frame_of(40, 0x22));
+  EXPECT_TRUE(h.ring.poisoned());
+  EXPECT_EQ(h.header().head.load(), good_end);
+}
+
+TEST(SpscRingHostile, TailBehindHeadPoisons) {
+  HostileRing h;
+  h.header().head.store(64);
+  h.header().tail.store(32);
+  EXPECT_EQ(drain(h.ring).size(), 0u);
+  EXPECT_TRUE(h.ring.poisoned());
+  EXPECT_EQ(h.header().head.load(), 64u);
+}
+
+TEST(SpscRingHostile, WrapMarkerPastTailPoisons) {
+  HostileRing h;
+  h.write_u32(0, SpscRing::kWrapMarker);  // claims the whole ring is gap
+  h.header().tail.store(16);
+  EXPECT_EQ(drain(h.ring).size(), 0u);
+  EXPECT_TRUE(h.ring.poisoned());
+  EXPECT_EQ(h.header().head.load(), 0u);
+}
+
+TEST(SpscRingHostile, PoisonedRingDeliversNothingAgain) {
+  HostileRing h;
+  h.header().tail.store(HostileRing::kCapacity + 8);  // run longer than the ring
+  EXPECT_EQ(drain(h.ring).size(), 0u);
+  ASSERT_TRUE(h.ring.poisoned());
+  // Even once the producer looks honest again, the consumer stays shut.
+  h.header().tail.store(0);
+  ASSERT_TRUE(h.ring.try_push(frame_of(8, 0x01)));
+  EXPECT_EQ(drain(h.ring).size(), 0u);
 }
 
 TEST(ShmRing, CreateOpenRoundTrip) {

@@ -57,7 +57,9 @@ TEST(SymbolStressTest, EightThreadsInternLookupResolve) {
         // Probing names that another thread may be interning right now:
         // either absent or consistent, never torn.
         const std::string racing = shared_name(kSharedNames - 1 - at);
-        if (const auto hit = table.lookup(racing)) ASSERT_EQ(table.name(*hit), racing);
+        if (const auto hit = table.lookup(racing)) {
+          ASSERT_EQ(table.name(*hit), racing);
+        }
 
         if (i % 8 == 0) {
           const std::string priv = private_name(t, i / 8);

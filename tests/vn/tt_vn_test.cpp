@@ -59,7 +59,7 @@ TEST_F(TtVnFixture, FreshestValueWinsEachSlot) {
   // Two writes before the first slot: only the second is transmitted.
   out.deposit(make_state_instance(ms, 1, Instant::origin()), Instant::origin());
   std::vector<std::int64_t> seen;
-  in.set_notify([&](Port& p) { /* push port */ });
+  in.set_notify([&](Port&) { /* push port */ });
   cluster.sim.schedule_at(Instant::origin() + 1_ms, [&] {
     out.deposit(make_state_instance(ms, 2, cluster.sim.now()), cluster.sim.now());
   });

@@ -22,6 +22,7 @@
 //
 // Exit status: 0 = clean shutdown (duration elapsed or SIGINT),
 // 2 = usage / IO / spec failure.
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -29,7 +30,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/gateway_lint.hpp"
@@ -70,8 +70,10 @@ constexpr const char* kUsage =
     "                         bind UDP <port>; peer learned from first\n"
     "                         datagram when not given\n";
 
-volatile std::sig_atomic_t g_stop = 0;
-void handle_signal(int) { g_stop = 1; }
+// Set before the handlers are installed; stop() is a relaxed store to a
+// lock-free atomic, which is safe from a signal handler.
+rt::GatewayRuntime* g_runtime = nullptr;
+void handle_signal(int) { g_runtime->stop(); }
 
 struct Options {
   std::string spec_path;
@@ -170,7 +172,8 @@ int make_transport(const std::string& descriptor, const char* side_name,
   return 2;
 }
 
-void print_stats(const rt::GatewayRuntime& runtime, double elapsed_s) {
+void print_stats(const rt::GatewayRuntime& runtime, const Transport (&transports)[2],
+                 double elapsed_s) {
   const rt::RuntimeStats s = runtime.stats();
   std::cout << "[decogw " << elapsed_s << "s] rx=" << s.rx_frames << " tx=" << s.tx_frames
             << " dispatches=" << s.dispatches << " rx_unknown=" << s.rx_unknown
@@ -180,6 +183,11 @@ void print_stats(const rt::GatewayRuntime& runtime, double elapsed_s) {
     std::cout << "  side " << flow.side << " '" << flow.message << "' ("
               << (flow.is_event ? "event" : "state") << "): frames=" << flow.frames
               << " drops=" << flow.drops << " decode_err=" << flow.decode_errors << "\n";
+  }
+  for (int side = 0; side < 2; ++side) {
+    if (transports[side].rx != nullptr && transports[side].rx->ring().poisoned())
+      std::cout << "  side " << side << " ring '" << transports[side].rx->name()
+                << "': POISONED (hostile cursor or length; ingress stopped)\n";
   }
   std::cout.flush();
 }
@@ -314,6 +322,7 @@ int main(int argc, char** argv) {
     runtime.set_telemetry(aggregator.get());
   }
 
+  g_runtime = &runtime;
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
   runtime.start();
@@ -327,27 +336,26 @@ int main(int argc, char** argv) {
     std::cout.flush();
   }
 
-  // Single-threaded poll loop: no locking against the stats printer,
-  // deterministic shutdown, and SIGINT only flips a flag.
+  // Single-threaded: the runtime's loop runs up to the next stats line
+  // (or the end), so the printer never races it, and SIGINT only makes
+  // run_until() return.
+  // Clamped to ~31 years, so the nanosecond count cannot overflow.
+  const auto seconds = [](double s) {
+    return Duration::nanoseconds(static_cast<std::int64_t>(std::min(s, 1e9) * 1e9));
+  };
   const Instant start = clock.now();
-  const Duration idle = rt::RuntimeConfig{}.idle_sleep;
-  Instant next_stats = start + Duration::seconds(1);
+  const Instant end = options.duration > 0 ? start + seconds(options.duration) : Instant::max();
   const bool show_stats = !options.quiet && options.stats_interval > 0;
-  const auto stats_period =
-      Duration::nanoseconds(static_cast<std::int64_t>(options.stats_interval * 1e9));
-  while (g_stop == 0) {
-    const Instant now = clock.now();
-    if (options.duration > 0 && (now - start).as_seconds() >= options.duration) break;
-    const std::size_t moved = runtime.poll_once(now);
-    if (moved == 0)
-      std::this_thread::sleep_for(std::chrono::nanoseconds(idle.ns()));
-    if (show_stats && now >= next_stats) {
-      print_stats(runtime, (now - start).as_seconds());
-      next_stats = now + stats_period;
+  Instant next_stats = show_stats ? start + seconds(options.stats_interval) : Instant::max();
+  while (!runtime.stop_requested() && clock.now() < end) {
+    runtime.run_until(std::min(next_stats, end));
+    if (clock.now() >= next_stats) {
+      print_stats(runtime, transports, (clock.now() - start).as_seconds());
+      next_stats = clock.now() + seconds(options.stats_interval);
     }
   }
 
   if (aggregator != nullptr) aggregator->flush();
-  if (!options.quiet) print_stats(runtime, (clock.now() - start).as_seconds());
+  if (!options.quiet) print_stats(runtime, transports, (clock.now() - start).as_seconds());
   return 0;
 }
